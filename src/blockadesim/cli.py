@@ -69,7 +69,6 @@ DEFAULT_CONFIG = {
         "cc_interaction": "physical",
         "frame_correction": True,
         "v_scale": 1.0,
-        "dwell_step_us": None,
     },
     "sweep": {
         "start_MHz": 0.02,
@@ -96,7 +95,6 @@ _FLAG_TO_OPTION = {
     "cc_interaction": "cc_interaction",
     "frame_correction": "frame_correction",
     "v_scale": "v_scale",
-    "dwell_step_us": "dwell_step_us",
 }
 
 
@@ -165,16 +163,30 @@ def resolve_config(args: argparse.Namespace) -> tuple[dict, set[str]]:
     return cfg, supplied
 
 
+def _is_finite_number(value) -> bool:
+    """True for a finite int or float; JSON true/false load as bool, which
+    Python counts as an int."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
 def _validate_config(cfg: dict, supplied: set[str]) -> None:
     if cfg["gate"] not in GATES:
         raise ConfigError(f"gate must be one of {GATES}, got {cfg['gate']!r}")
     for key in ("omega0_MHz", "omega_bar_MHz", "L_um"):
-        if not isinstance(cfg[key], (int, float)) or not cfg[key] > 0:
+        if not _is_finite_number(cfg[key]) or not cfg[key] > 0:
             raise ConfigError(f"{key} must be a positive number, got {cfg[key]!r}")
-    if cfg["omega3_MHz"] is not None and not cfg["omega3_MHz"] > 0:
-        raise ConfigError(f"omega3_MHz must be positive, got {cfg['omega3_MHz']!r}")
-    if cfg["tau_us"] is not None and not cfg["tau_us"] > 0:
-        raise ConfigError(f"tau_us must be positive, got {cfg['tau_us']!r}")
+    for key in ("omega3_MHz", "tau_us"):
+        if cfg[key] is not None and not (_is_finite_number(cfg[key]) and cfg[key] > 0):
+            raise ConfigError(f"{key} must be a positive number or null, got {cfg[key]!r}")
+    if not _is_finite_number(cfg["c6_GHz_um6"]) or cfg["c6_GHz_um6"] == 0:
+        raise ConfigError(
+            f"c6_GHz_um6 must be a finite nonzero number, got {cfg['c6_GHz_um6']!r}"
+        )
     if cfg["tau_us"] is None and cfg["temperature"] not in TAU_BY_TEMPERATURE:
         raise ConfigError(
             f"temperature must be one of {sorted(TAU_BY_TEMPERATURE)} "
@@ -189,11 +201,14 @@ def _validate_config(cfg: dict, supplied: set[str]) -> None:
         )
     if not isinstance(opts["frame_correction"], bool):
         raise ConfigError("options.frame_correction must be true or false")
-    if not opts["v_scale"] > 0:
+    if not _is_finite_number(opts["v_scale"]) or not opts["v_scale"] > 0:
         raise ConfigError(f"options.v_scale must be positive, got {opts['v_scale']!r}")
 
     has_theta = "theta_rad" in supplied
     has_ratio = "ratio_omega2_over_omega1" in supplied
+    for key, given in (("theta_rad", has_theta), ("ratio_omega2_over_omega1", has_ratio)):
+        if given and not _is_finite_number(cfg[key]):
+            raise ConfigError(f"{key} must be a number, got {cfg[key]!r}")
     if cfg["gate"] == "deutsch":
         if has_theta and has_ratio:
             raise ConfigError("supply exactly one of theta_rad / ratio for the deutsch gate")
@@ -253,7 +268,6 @@ def build_options(cfg: dict) -> SimulationOptions:
         decay_tau=resolve_tau(cfg) if opts["decay"] == "effective" else None,
         cc_interaction=opts["cc_interaction"],
         frame_correction=opts["frame_correction"],
-        dwell_sampling_step=opts["dwell_step_us"],
     )
 
 
@@ -572,8 +586,6 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--frame-correction", choices=("on", "off"),
                         dest="frame_correction_raw",
                         help="remove the predicted residue phase before comparison")
-    parser.add_argument("--dwell-step-us", type=float, dest="dwell_step_us",
-                        help="dwell sampling step in us")
 
 
 def main(argv=None) -> int:

@@ -2,7 +2,9 @@
 Rydberg-dwell, and residue-phase diagnostics.
 
 Each piecewise-constant segment is evolved by an exact matrix exponential, so
-there is no integrator error to disentangle from physical imperfections.
+there is no integrator error to disentangle from physical imperfections.  The
+Rydberg dwell is integrated in closed form in each segment's eigenbasis, so it
+is exact per segment as well, at a cost independent of segment durations.
 Decay is an effective non-Hermitian term -i/(2 tau) on every Rydberg
 projector: lost norm equals the decay probability, branching is not tracked.
 """
@@ -13,14 +15,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import trapezoid
 
 from . import qcore
 from .model import GateSchedule, PhysicalParams, segment_hamiltonian
-
-# A sampling step of (shortest segment)/50 keeps the trapezoidal dwell
-# integral well under the 1% comparison tolerance at gate-scale parameters.
-DWELL_STEP_DIVISOR = 50
 
 
 @dataclass(frozen=True)
@@ -33,15 +30,13 @@ class SimulationOptions:
         "none" zeroes it (idealized pair-engineering limit).
     frame_correction: remove the predicted residue phase from the outputs of
         the both-controls-ground inputs before any comparison.
-    dwell_sampling_step: us between dwell samples; None picks
-        (shortest segment)/50, and larger values are rejected.
-    compute_dwell: skip the dwell integration entirely when False.
+    compute_dwell: skip the (closed-form, per-segment exact) dwell integral
+        entirely when False.
     """
 
     decay_tau: float | None = None
     cc_interaction: str = "physical"
     frame_correction: bool = False
-    dwell_sampling_step: float | None = None
     compute_dwell: bool = True
 
 
@@ -94,44 +89,31 @@ def _decay_term(n_atoms: int, tau: float) -> np.ndarray:
     return -0.5j / tau * total
 
 
-def _resolve_dwell_step(schedule: GateSchedule, step: float | None) -> float:
-    shortest = min(seg.duration for seg in schedule.segments)
-    limit = shortest / DWELL_STEP_DIVISOR
-    if step is None:
-        return limit
-    if not step > 0:
-        raise ValueError(f"dwell_sampling_step must be > 0, got {step}")
-    if step > limit * (1.0 + 1e-12):
-        raise ValueError(
-            f"dwell_sampling_step {step} exceeds shortest segment/"
-            f"{DWELL_STEP_DIVISOR} = {limit:.3e}"
-        )
-    return step
-
-
 def _integrate_dwell(
     hamiltonians: list[np.ndarray],
     durations: list[float],
     initial_columns: np.ndarray,
     weights: np.ndarray,
-    step: float,
 ) -> np.ndarray:
-    """Trapezoidal integral of the total Rydberg population for each column."""
-    dim, n_cols = initial_columns.shape
-    totals = np.zeros(n_cols)
+    """Exact integral of the total Rydberg population for each column.
+
+    In a segment's eigenbasis, with ``c = V^dag psi`` and ``M = V^dag W V``,
+    the population is ``sum_jk conj(c_j) M_jk c_k exp(i (lam_j - lam_k) t)``,
+    whose integral over [0, T] weights ``M_jk`` by
+    ``T exp(i d_jk / 2) sinc(d_jk / 2)`` with ``d_jk = (lam_j - lam_k) T``.
+    ``np.sinc`` is 1 at 0, so degenerate eigenvalues need no special case.
+    """
+    totals = np.zeros(initial_columns.shape[1])
     psi = initial_columns.astype(complex)
     for h, duration in zip(hamiltonians, durations):
         eigvals, eigvecs = np.linalg.eigh(h)
-        phases = eigvecs.conj().T @ psi
-        n_samples = max(2, int(math.ceil(duration / step)) + 1)
-        times = np.linspace(0.0, duration, n_samples)
-        modes = np.exp(-1j * np.outer(eigvals, times))
-        # amplitudes for all samples and inputs in a single product
-        stacked = (modes[:, :, None] * phases[:, None, :]).reshape(dim, -1)
-        amps = (eigvecs @ stacked).reshape(dim, n_samples, n_cols)
-        populations = np.tensordot(weights, np.abs(amps) ** 2, axes=(0, 0))
-        totals += trapezoid(populations, times, axis=0)
-        psi = eigvecs @ (np.exp(-1j * eigvals * duration)[:, None] * phases)
+        adjoint = eigvecs.conj().T
+        coeffs = adjoint @ psi
+        overlap = (adjoint * weights) @ eigvecs
+        phase = np.subtract.outer(eigvals, eigvals) * duration
+        kernel = duration * np.exp(0.5j * phase) * np.sinc(phase / (2.0 * np.pi))
+        totals += np.sum(coeffs.conj() * ((overlap * kernel) @ coeffs), axis=0).real
+        psi = eigvecs @ (np.exp(-1j * eigvals * duration)[:, None] * coeffs)
     return totals
 
 
@@ -208,11 +190,10 @@ def evolve(
 
     dwell = None
     if opts.compute_dwell and schedule.segments:
-        step = _resolve_dwell_step(schedule, opts.dwell_sampling_step)
         initial = np.zeros((dim, len(comp)), dtype=complex)
         initial[comp, np.arange(len(comp))] = 1.0
         totals = _integrate_dwell(
-            hamiltonians, durations, initial, qcore.rydberg_weights(n), step
+            hamiltonians, durations, initial, qcore.rydberg_weights(n)
         )
         dwell = {lab: float(t) for lab, t in zip(labels, totals)}
     elif opts.compute_dwell:
@@ -235,7 +216,6 @@ def rydberg_dwell(
     input_state: str,
     *,
     cc_interaction: str = "physical",
-    sampling_step: float | None = None,
 ) -> float:
     """Integrated time (us) the register spends in Rydberg levels for one
     computational input, decay off.
@@ -253,7 +233,6 @@ def rydberg_dwell(
         raise ValueError(f"input_state must be {n} bits of 0/1, got {input_state!r}")
     if not schedule.segments:
         return 0.0
-    step = _resolve_dwell_step(schedule, sampling_step)
     hamiltonians = [
         segment_hamiltonian(seg, params, cc_interaction=cc_interaction)
         for seg in schedule.segments
@@ -261,6 +240,6 @@ def rydberg_dwell(
     durations = [seg.duration for seg in schedule.segments]
     initial = qcore.ket(tuple("g0" if b == "0" else "g1" for b in bits))[:, None]
     totals = _integrate_dwell(
-        hamiltonians, durations, initial, qcore.rydberg_weights(n), step
+        hamiltonians, durations, initial, qcore.rydberg_weights(n)
     )
     return float(totals[0])

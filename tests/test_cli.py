@@ -102,6 +102,15 @@ def test_simulate_reports_dwell(tmp_path):
     )
 
 
+def test_simulate_extreme_control_drive(tmp_path):
+    # control pi pulses ~1e-300 us long next to us-long target pulses
+    payload = run_json(tmp_path, "sim.json", ["simulate", "--omega0-mhz", "1e300"])
+    dwell = payload["dwell_per_input_us"]
+    assert all(math.isfinite(v) for v in dwell.values())
+    assert dwell["110"] == pytest.approx(0.678, rel=1e-3)
+    assert payload["unitarity_defect"] < 1e-9
+
+
 # ---------------------------------------------------------------------------
 # budget / phase
 # ---------------------------------------------------------------------------
@@ -254,3 +263,22 @@ def test_json_output_to_stdout_without_out(capsys):
     payload = json.loads(captured.out)
     assert payload["budget"]["total"] > 0.0
     assert "total error" in captured.err
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        {"options": {"v_scale": "2"}},
+        {"tau_us": "1590"},
+        {"c6_GHz_um6": None},
+        {"c6_GHz_um6": 0.0},
+        {"omega_bar_MHz": True},
+        {"theta_rad": "1.0"},
+    ],
+)
+def test_mistyped_config_gives_one_error_line(tmp_path, capsys, cfg):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["simulate", "--config", str(cfg_path)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")

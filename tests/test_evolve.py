@@ -14,7 +14,7 @@ from blockadesim.evolve import (
     rydberg_dwell,
 )
 from blockadesim.ideal import cnot_ideal, deutsch_ideal, gate_fidelity, toffoli_ideal
-from blockadesim.model import GateSchedule, PhysicalParams, PulseSegment
+from blockadesim.model import GateSchedule, PhysicalParams, PulseSegment, Transition
 from blockadesim.schedule import (
     DriveParams,
     cnot_schedule,
@@ -246,20 +246,48 @@ def test_evolve_dwell_agrees_with_closed_forms():
     assert simulated_mean == pytest.approx(avg_dwell(DRIVE), rel=0.01)
 
 
-def test_dwell_sampling_step_validation():
-    shortest = math.pi / DRIVE.omega0
-    too_coarse = SimulationOptions(dwell_sampling_step=shortest / 10.0)
-    with pytest.raises(ValueError):
-        evolve(deutsch_schedule(DRIVE), REF_PARAMS, too_coarse)
-    with pytest.raises(ValueError):
-        evolve(
-            deutsch_schedule(DRIVE),
-            REF_PARAMS,
-            SimulationOptions(dwell_sampling_step=-1.0),
-        )
-    # a finer step than the default is accepted
-    fine = SimulationOptions(dwell_sampling_step=shortest / 200.0)
-    evolve(toffoli_schedule(DRIVE), REF_PARAMS, fine)
+def _one_atom_schedule(*segments):
+    return GateSchedule(segments, "one-atom", 2)
+
+
+@pytest.mark.parametrize("duration", [0.3, 2.0, 37.7])
+def test_dwell_resonant_segment_is_exact(duration):
+    # sin^2(Omega t / 2) integrates to T/2 - sin(Omega T)/(2 Omega) for any T,
+    # not only for whole Rabi periods (2 pi / Omega = 1 us here)
+    omega = TWO_PI * 1.0
+    pulse = PulseSegment((Transition(0, "g0", omega),), duration)
+    dwell = rydberg_dwell(_one_atom_schedule(pulse), REF_PARAMS_2, "00")
+    expected = duration / 2.0 - math.sin(omega * duration) / (2.0 * omega)
+    assert dwell == pytest.approx(expected, rel=1e-12)
+
+
+def test_dwell_wait_in_rydberg_adds_wait_time():
+    # the wait segment's Hamiltonian is diagonal with degenerate eigenvalues
+    omega = TWO_PI * 1.0
+    pi_pulse = PulseSegment((Transition(0, "g0", omega),), math.pi / omega)
+    wait = PulseSegment((), 1.25)
+    dwell = rydberg_dwell(_one_atom_schedule(pi_pulse, wait), REF_PARAMS_2, "00")
+    assert dwell == pytest.approx(math.pi / (2.0 * omega) + 1.25, rel=1e-12)
+
+
+def test_dwell_blockade_limit_matches_table():
+    opts = SimulationOptions(cc_interaction="none")
+    params = REF_PARAMS.with_interaction_scaled(1e3)
+    result = evolve(deutsch_schedule(DRIVE), params, opts)
+    for label, expected in dwell_table(DRIVE).items():
+        assert result.dwell_per_input[label] == pytest.approx(expected, rel=1e-8)
+
+
+def test_dwell_finite_at_extreme_control_drive():
+    # control pi pulses 0.5 ps long next to us-long target pulses: sampling
+    # at a fraction of the shortest segment would take ~1e8 samples
+    drive = DriveParams.from_ratio(TWO_PI * 1e6, TWO_PI * 0.54, 2.0)
+    result = evolve(deutsch_schedule(drive), REF_PARAMS)
+    assert qcore.unitarity_defect(result.full_propagator) < 1e-9
+    table = dwell_table(drive)
+    for label, expected in table.items():
+        assert math.isfinite(result.dwell_per_input[label])
+        assert result.dwell_per_input[label] == pytest.approx(expected, rel=0.01)
 
 
 def test_rydberg_dwell_input_validation():
