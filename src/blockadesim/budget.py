@@ -21,6 +21,10 @@ TAU_BY_TEMPERATURE = {"4.2K": 1590.0, "300K": 313.0}
 
 SWEEP_MAX_OMEGA_BAR_MHZ = 2.3
 
+# Largest grid sweep_grid builds.  A full sweep costs about 26 us and 1 KB
+# per point, so this is about 2.6 s and 100 MB.
+SWEEP_MAX_POINTS = 100_000
+
 
 @dataclass(frozen=True)
 class ErrorBudget:
@@ -193,8 +197,14 @@ def sweep_grid(start_mhz: float, stop_mhz: float, step_mhz: float) -> list[float
         )
     if not step_mhz > 0:
         raise ValueError(f"step must be > 0, got {step_mhz}")
-    count = int(math.floor((stop_mhz - start_mhz) / step_mhz + 1e-9)) + 1
-    return [start_mhz + i * step_mhz for i in range(count)]
+    # checked as a float: a subnormal step overflows the count to inf
+    steps = (stop_mhz - start_mhz) / step_mhz + 1e-9
+    if steps >= SWEEP_MAX_POINTS:
+        raise ValueError(
+            f"step {step_mhz} MHz gives {steps + 1:.6g} grid points, "
+            f"more than the limit of {SWEEP_MAX_POINTS}"
+        )
+    return [start_mhz + i * step_mhz for i in range(int(steps) + 1)]
 
 
 def sweep(

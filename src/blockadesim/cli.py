@@ -203,6 +203,9 @@ def _validate_config(cfg: dict, supplied: set[str]) -> None:
         raise ConfigError("options.frame_correction must be true or false")
     if not _is_finite_number(opts["v_scale"]) or not opts["v_scale"] > 0:
         raise ConfigError(f"options.v_scale must be positive, got {opts['v_scale']!r}")
+    for key, value in cfg["sweep"].items():
+        if not _is_finite_number(value):
+            raise ConfigError(f"sweep.{key} must be a number, got {value!r}")
 
     has_theta = "theta_rad" in supplied
     has_ratio = "ratio_omega2_over_omega1" in supplied

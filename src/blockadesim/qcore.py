@@ -15,7 +15,6 @@ from itertools import product
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
 LEVELS = ("g0", "g1", "r")
 LEVEL_CODE = {"g0": 0, "g1": 1, "r": 2}
@@ -135,7 +134,11 @@ def matrix_exponential(
         eigvals, eigvecs = np.linalg.eigh(h)
         u = (eigvecs * np.exp(-1j * eigvals * duration)) @ eigvecs.conj().T
     else:
-        u = scipy.linalg.expm(-1j * duration * h)
+        # imported only here, so that a run without decay never loads it: the
+        # import costs more than a whole gate simulation
+        from scipy.linalg import expm
+
+        u = expm(-1j * duration * h)
     if not np.all(np.isfinite(u)):
         raise FloatingPointError("propagator contains non-finite entries")
     return u

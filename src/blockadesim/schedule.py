@@ -10,8 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import scipy.optimize
-
 from .model import GateSchedule, PulseSegment, Transition
 
 SQRT2 = math.sqrt(2.0)
@@ -20,8 +18,6 @@ SQRT2 = math.sqrt(2.0)
 # running from pi at the lower end to 0 at the upper end.
 RATIO_MIN = SQRT2 - 1.0
 RATIO_MAX = SQRT2 + 1.0
-
-_SIN_SNAP = 1e-14  # the sine expression cancels to rounding noise at the endpoints
 
 
 @dataclass(frozen=True)
@@ -77,40 +73,29 @@ def theta_from_omegas(omega1: float, omega2: float) -> float:
     sin(theta) = (6 w1^2 w2^2 - w1^4 - w2^4) / (w1^2 + w2^2)^2
     cos(theta) = 4 w1 w2 (w2^2 - w1^2) / (w1^2 + w2^2)^2
 
-    Scale invariant in (w1, w2).  Returns the angle in [0, pi] for ratios on
-    the tunable branch [sqrt(2)-1, sqrt(2)+1]; ratios outside it wrap into
-    (pi, 2 pi).
+    With w1 = cos(b), w2 = sin(b) (b = atan2(w2, w1)) the right-hand sides
+    are -cos(4b) and -sin(4b), so theta = 3pi/2 - 4b modulo 2pi, which is
+    what is returned.  Scale invariant in (w1, w2).  The angle lies in
+    [0, pi] for ratios on the tunable branch [sqrt(2)-1, sqrt(2)+1]; ratios
+    outside it wrap into (pi, 2 pi).
     """
     if not omega1 > 0 or not omega2 > 0:
         raise ValueError(f"Rabi magnitudes must be > 0, got ({omega1}, {omega2})")
-    p, q = omega1 * omega1, omega2 * omega2
-    norm4 = (p + q) ** 2
-    sin_term = (6.0 * p * q - p * p - q * q) / norm4
-    cos_term = 4.0 * omega1 * omega2 * (q - p) / norm4
-    if abs(sin_term) < _SIN_SNAP:
-        sin_term = 0.0
-    theta = math.atan2(sin_term, cos_term)
-    return theta if theta >= 0.0 else theta + 2.0 * math.pi
+    return (1.5 * math.pi - 4.0 * math.atan2(omega2, omega1)) % (2.0 * math.pi)
 
 
 def omegas_from_theta(theta: float, omega_bar: float) -> tuple[float, float]:
     """Invert :func:`theta_from_omegas` on the monotone ratio branch.
 
-    Bisection on the ratio is robust over the whole branch; the result is
-    scaled so that sqrt(omega1^2 + omega2^2) equals ``omega_bar``.
+    On the branch b = atan2(w2, w1) runs over [pi/8, 3pi/8], so
+    b = 3pi/8 - theta/4 and (omega1, omega2) = omega_bar (cos b, sin b).
     """
     if not 0.0 <= theta <= math.pi:
         raise ValueError(f"theta must lie in [0, pi], got {theta}")
     if not omega_bar > 0:
         raise ValueError(f"omega_bar must be > 0, got {omega_bar}")
-    ratio = scipy.optimize.bisect(
-        lambda r: theta_from_omegas(1.0, r) - theta,
-        RATIO_MIN,
-        RATIO_MAX,
-        xtol=1e-12,
-    )
-    omega1 = omega_bar / math.sqrt(1.0 + ratio * ratio)
-    return omega1, ratio * omega1
+    angle = 3.0 * math.pi / 8.0 - theta / 4.0
+    return omega_bar * math.cos(angle), omega_bar * math.sin(angle)
 
 
 def deutsch_schedule(drive: DriveParams) -> GateSchedule:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from blockadesim.budget import (
+    SWEEP_MAX_POINTS,
     TAU_BY_TEMPERATURE,
     argmin_total,
     avg_dwell,
@@ -250,6 +251,16 @@ def test_sweep_grid_validation():
         sweep_grid(0.02, 2.5, 0.02)
     with pytest.raises(ValueError):
         sweep_grid(0.02, 1.0, 0.0)
+
+
+def test_sweep_grid_point_limit():
+    # at the limit and one point over it, so a missing check builds no huge grid
+    assert len(sweep_grid(1.0, 1.99999, 1e-5)) == SWEEP_MAX_POINTS == 100_000
+    with pytest.raises(ValueError, match="100001 grid points"):
+        sweep_grid(1.0, 2.0, 1e-5)
+    # the point count overflows a float here
+    with pytest.raises(ValueError, match="inf grid points"):
+        sweep_grid(0.02, 2.3, 5e-324)
 
 
 def test_tau_table():

@@ -2,10 +2,17 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
+from blockadesim.budget import SWEEP_MAX_POINTS
 from blockadesim.cli import CSV_COLUMNS, main
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def run_json(tmp_path, name, argv):
@@ -111,6 +118,36 @@ def test_simulate_extreme_control_drive(tmp_path):
     assert payload["unitarity_defect"] < 1e-9
 
 
+def test_scipy_loaded_only_for_decay(tmp_path):
+    # a fresh interpreter: other test modules load scipy into this process
+    script = textwrap.dedent(
+        """
+        import sys
+        from blockadesim.cli import main
+
+        def scipy_modules():
+            return [m for m in sys.modules if m.split(".")[0] == "scipy"]
+
+        assert not scipy_modules(), scipy_modules()
+        assert main(["simulate", "--decay", "none", "--out", sys.argv[1]]) == 0
+        assert not scipy_modules(), scipy_modules()
+        assert main(["simulate", "--decay", "effective", "--out", sys.argv[2]]) == 0
+        assert "scipy.linalg" in sys.modules
+        """
+    )
+    plain, decayed = tmp_path / "plain.json", tmp_path / "decayed.json"
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(plain), str(decayed)],
+        env={**os.environ, "PYTHONPATH": SRC},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    losses = json.loads(decayed.read_text())["norm_loss_per_input"].values()
+    assert all(0.0 <= loss <= 1.0 for loss in losses)
+
+
 # ---------------------------------------------------------------------------
 # budget / phase
 # ---------------------------------------------------------------------------
@@ -197,6 +234,17 @@ def test_sweep_grid_step_flag(tmp_path):
     assert len(lines) == 11
 
 
+def test_sweep_grid_over_limit_gives_one_error_line(tmp_path, capsys):
+    # one point over the limit, so a missing check builds no huge grid
+    out = tmp_path / "sweep.csv"
+    step = 1.0 / SWEEP_MAX_POINTS
+    assert main(["sweep", "--out", str(out), "--grid-step", str(step),
+                 "--sweep-start", "1.0", "--sweep-stop", "2.0"]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # config handling and validation
 # ---------------------------------------------------------------------------
@@ -274,6 +322,9 @@ def test_json_output_to_stdout_without_out(capsys):
         {"c6_GHz_um6": 0.0},
         {"omega_bar_MHz": True},
         {"theta_rad": "1.0"},
+        {"sweep": {"step_MHz": "0.02"}},
+        {"sweep": {"start_MHz": None}},
+        {"sweep": {"stop_MHz": True}},
     ],
 )
 def test_mistyped_config_gives_one_error_line(tmp_path, capsys, cfg):

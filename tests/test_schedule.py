@@ -90,7 +90,7 @@ def test_theta_strictly_monotone_on_branch():
 )
 def test_omegas_from_theta_known_ratios(theta, ratio):
     omega1, omega2 = omegas_from_theta(theta, 1.0)
-    assert omega2 / omega1 == pytest.approx(ratio, abs=1e-9)
+    assert omega2 / omega1 == pytest.approx(ratio, abs=1e-13)
     assert math.hypot(omega1, omega2) == pytest.approx(1.0, rel=1e-12)
 
 
@@ -100,7 +100,7 @@ def test_omegas_from_theta_roundtrip():
     for theta in rng.uniform(0.0, math.pi, 200):
         omega1, omega2 = omegas_from_theta(theta, 2.5)
         worst = max(worst, abs(theta_from_omegas(omega1, omega2) - theta))
-    assert worst < 1e-9
+    assert worst < 1e-13
 
 
 def test_omegas_from_theta_domain_errors():
