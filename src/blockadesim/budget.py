@@ -200,8 +200,9 @@ def sweep_grid(start_mhz: float, stop_mhz: float, step_mhz: float) -> list[float
     # checked as a float: a subnormal step overflows the count to inf
     steps = (stop_mhz - start_mhz) / step_mhz + 1e-9
     if steps >= SWEEP_MAX_POINTS:
+        count = math.floor(steps) + 1 if math.isfinite(steps) else "inf"
         raise ValueError(
-            f"step {step_mhz} MHz gives {steps + 1:.6g} grid points, "
+            f"step {step_mhz} MHz gives {count} grid points, "
             f"more than the limit of {SWEEP_MAX_POINTS}"
         )
     return [start_mhz + i * step_mhz for i in range(int(steps) + 1)]

@@ -26,6 +26,17 @@ NORM_TOL = 1e-10
 
 IDENTITY_3 = np.eye(3, dtype=complex)
 
+# Degree-13 diagonal Pade coefficients and the 1-norm up to which that
+# approximant is exact to double precision (Higham 2005, SIAM J. Matrix
+# Anal. Appl. 26, 1179).
+_PADE13 = (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+    1187353796428800.0, 129060195264000.0, 10559470521600.0,
+    670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0,
+    16380.0, 182.0, 1.0,
+)
+_PADE13_NORM = 5.371920351148152
+
 
 def basis_index(levels: Sequence[str]) -> int:
     """Canonical index of a product basis state, e.g. ("r", "r", "g1") -> 25."""
@@ -119,7 +130,7 @@ def matrix_exponential(
 
     Hermitian input (detected unless ``hermitian`` is forced) goes through an
     eigendecomposition, which is exact per segment; non-Hermitian input, as
-    produced by the effective decay term, falls back to scaling-and-squaring.
+    produced by the effective decay term, goes through :func:`pade_expm`.
     """
     h = np.asarray(hamiltonian, dtype=complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
@@ -134,14 +145,39 @@ def matrix_exponential(
         eigvals, eigvecs = np.linalg.eigh(h)
         u = (eigvecs * np.exp(-1j * eigvals * duration)) @ eigvecs.conj().T
     else:
-        # imported only here, so that a run without decay never loads it: the
-        # import costs more than a whole gate simulation
-        from scipy.linalg import expm
-
-        u = expm(-1j * duration * h)
+        u = pade_expm(-1j * duration * h)
     if not np.all(np.isfinite(u)):
         raise FloatingPointError("propagator contains non-finite entries")
     return u
+
+
+def pade_expm(a: np.ndarray) -> np.ndarray:
+    """exp(a) for a square matrix by scaling and squaring.
+
+    ``a`` is halved until its 1-norm is at most ``_PADE13_NORM``, the
+    degree-13 Pade approximant r(a) = q(a)^-1 p(a) is solved for, and the
+    result squared back.
+    """
+    norm = float(np.abs(a).sum(axis=0).max())
+    squarings = max(0, math.ceil(math.log2(norm / _PADE13_NORM))) if norm > 0 else 0
+    a = a * 0.5**squarings
+    b = _PADE13
+    eye = np.eye(a.shape[0], dtype=a.dtype)
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    odd = a @ (
+        a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+        + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye
+    )
+    even = (
+        a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+        + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
+    )
+    r = np.linalg.solve(even - odd, even + odd)
+    for _ in range(squarings):
+        r = r @ r
+    return r
 
 
 def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:

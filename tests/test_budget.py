@@ -258,6 +258,11 @@ def test_sweep_grid_point_limit():
     assert len(sweep_grid(1.0, 1.99999, 1e-5)) == SWEEP_MAX_POINTS == 100_000
     with pytest.raises(ValueError, match="100001 grid points"):
         sweep_grid(1.0, 2.0, 1e-5)
+    # the count is what range() would build, written out in full
+    with pytest.raises(ValueError, match="166667 grid points"):
+        sweep_grid(1.0, 2.0, 6e-6)
+    with pytest.raises(ValueError, match="22800001 grid points"):
+        sweep_grid(0.02, 2.3, 1e-7)
     # the point count overflows a float here
     with pytest.raises(ValueError, match="inf grid points"):
         sweep_grid(0.02, 2.3, 5e-324)

@@ -129,6 +129,30 @@ def test_matrix_exponential_non_hermitian_contracts():
     assert norms[2] < 1.0
 
 
+def test_pade_expm_exact_cases():
+    assert np.abs(qcore.pade_expm(np.zeros((4, 4), dtype=complex)) - np.eye(4)).max() < 1e-15
+    diag = np.array([0.3, -2.0 + 1.5j, 40.0j, -700.0])
+    assert np.allclose(qcore.pade_expm(np.diag(diag)), np.diag(np.exp(diag)), rtol=1e-12, atol=0)
+    # a Jordan block has no eigenbasis: exp = e^lam [[1, t], [0, 1]]
+    lam, t = -0.4 + 3.0j, 25.0
+    jordan = np.array([[lam * t, t], [0.0, lam * t]])
+    expected = np.exp(lam * t) * np.array([[1.0, t], [0.0, 1.0]])
+    assert np.allclose(qcore.pade_expm(jordan), expected, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("dim", [2, 9, 27])
+def test_pade_expm_matches_scipy_on_decaying_hamiltonians(dim):
+    from scipy.linalg import expm
+
+    rng = np.random.default_rng(dim)
+    for scale in (1e-3, 0.5, 5.0, 80.0, 3e3):
+        a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        h = (a + a.conj().T) / 2.0 - 0.5j * np.diag(rng.uniform(0.0, 0.2, dim))
+        h *= scale / np.abs(h).sum(axis=0).max()
+        u = qcore.matrix_exponential(h, 1.0, hermitian=False)
+        assert np.abs(u - expm(-1j * h)).max() < 1e-11
+
+
 def test_matrix_exponential_rejects_bad_input():
     with pytest.raises(ValueError):
         qcore.matrix_exponential(np.eye(3), -0.1)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from blockadesim import qcore
+from blockadesim.ideal import deutsch_ideal
 from blockadesim.model import PhysicalParams, segment_hamiltonian
 from blockadesim.schedule import (
     RATIO_MAX,
@@ -101,6 +102,22 @@ def test_omegas_from_theta_roundtrip():
         omega1, omega2 = omegas_from_theta(theta, 2.5)
         worst = max(worst, abs(theta_from_omegas(omega1, omega2) - theta))
     assert worst < 1e-13
+
+
+def test_branch_endpoints_map_back_exactly():
+    # drive.theta feeds deutsch_ideal, which rejects anything outside [0, pi]
+    rng = np.random.default_rng(5)
+    omega_bars = [TWO_PI * f for f in np.arange(0.001, 2.3, 0.001)]
+    omega_bars += list(np.exp(rng.uniform(-7.0, 7.0, 2000)))
+    for omega_bar in omega_bars:
+        for theta, ratio in ((0.0, RATIO_MAX), (math.pi, RATIO_MIN)):
+            assert DriveParams.from_theta(TWO_PI * 10.0, omega_bar, theta).theta == theta
+            drive = DriveParams.from_ratio(TWO_PI * 10.0, omega_bar, ratio)
+            assert drive.theta == theta
+            deutsch_ideal(drive.theta)
+    # a ratio a few ulp off the branch snaps to its end instead of wrapping
+    assert theta_from_omegas(1.0, RATIO_MAX * (1.0 + 1e-15)) == 0.0
+    assert theta_from_omegas(1.0, RATIO_MIN * (1.0 - 1e-15)) == math.pi
 
 
 def test_omegas_from_theta_domain_errors():
