@@ -20,7 +20,7 @@ RATIO_MIN = SQRT2 - 1.0
 RATIO_MAX = SQRT2 + 1.0
 
 # Rounding in atan2 and in the inputs can carry an endpoint of the branch a
-# few ulp past 0 (which the modulo wraps to just below 2 pi) or past pi.
+# few ulp past 0 (which the modulo would wrap to just below 2 pi) or past pi.
 _ENDPOINT_SNAP = 1e-14
 
 
@@ -82,16 +82,16 @@ def theta_from_omegas(omega1: float, omega2: float) -> float:
     what is returned.  Scale invariant in (w1, w2).  The angle lies in
     [0, pi] for ratios on the tunable branch [sqrt(2)-1, sqrt(2)+1]; ratios
     outside it wrap into (pi, 2 pi).  Angles within ``_ENDPOINT_SNAP`` of 0
-    (either side of the wrap) or of pi are returned as exactly 0 or pi.
+    or of pi, before the wrap, are returned as exactly 0 or pi.
     """
     if not omega1 > 0 or not omega2 > 0:
         raise ValueError(f"Rabi magnitudes must be > 0, got ({omega1}, {omega2})")
-    theta = (1.5 * math.pi - 4.0 * math.atan2(omega2, omega1)) % (2.0 * math.pi)
-    if theta < _ENDPOINT_SNAP or theta > 2.0 * math.pi - _ENDPOINT_SNAP:
+    theta = 1.5 * math.pi - 4.0 * math.atan2(omega2, omega1)  # in (-pi/2, 3pi/2)
+    if abs(theta) < _ENDPOINT_SNAP:
         return 0.0
     if abs(theta - math.pi) < _ENDPOINT_SNAP:
         return math.pi
-    return theta
+    return theta % (2.0 * math.pi)
 
 
 def omegas_from_theta(theta: float, omega_bar: float) -> tuple[float, float]:
