@@ -83,10 +83,7 @@ def _wrap_angle(angle: float) -> float:
 
 def _decay_term(n_atoms: int, tau: float) -> np.ndarray:
     """-i/(2 tau) sum_k |r><r|_k as a full-space matrix."""
-    proj_r = np.zeros((3, 3), dtype=complex)
-    proj_r[2, 2] = 1.0
-    total = sum(qcore.embed_operator(proj_r, k, n_atoms) for k in range(n_atoms))
-    return -0.5j / tau * total
+    return np.diag(-0.5j / tau * qcore.rydberg_weights(n_atoms))
 
 
 def _integrate_dwell(

@@ -9,8 +9,8 @@ rad/us and all times are us throughout the package.
 
 from __future__ import annotations
 
+import functools
 import math
-from functools import reduce
 from itertools import product
 from typing import Sequence
 
@@ -23,8 +23,6 @@ LEVEL_CODE = {"g0": 0, "g1": 1, "r": 2}
 HERMITIAN_TOL = 1e-12
 UNITARY_TOL = 1e-10
 NORM_TOL = 1e-10
-
-IDENTITY_3 = np.eye(3, dtype=complex)
 
 # Degree-13 diagonal Pade coefficients and the 1-norm up to which that
 # approximant is exact to double precision (Higham 2005, SIAM J. Matrix
@@ -52,17 +50,6 @@ def basis_index(levels: Sequence[str]) -> int:
     return index
 
 
-def levels_from_index(index: int, n_atoms: int) -> tuple[str, ...]:
-    """Inverse of :func:`basis_index` for a register of ``n_atoms`` atoms."""
-    if not 0 <= index < 3**n_atoms:
-        raise ValueError(f"index {index} out of range for {n_atoms} atoms")
-    codes = []
-    for _ in range(n_atoms):
-        index, code = divmod(index, 3)
-        codes.append(code)
-    return tuple(LEVELS[c] for c in reversed(codes))
-
-
 def ket(levels: Sequence[str]) -> np.ndarray:
     """Unit state vector for one product basis state."""
     vec = np.zeros(3 ** len(levels), dtype=complex)
@@ -80,23 +67,53 @@ def computational_labels(n_atoms: int) -> list[str]:
     return ["".join(str(b) for b in bits) for bits in computational_bits(n_atoms)]
 
 
+# Integer index tables of a register: each is computed once per register
+# size and returned read-only, since every caller shares the same array.
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+@functools.cache
+def level_codes(n_atoms: int) -> np.ndarray:
+    """Level code of every atom (row) in every basis state (column)."""
+    return _read_only(np.indices((3,) * n_atoms).reshape(n_atoms, -1))
+
+
+@functools.cache
 def computational_indices(n_atoms: int) -> np.ndarray:
-    """Full-space indices of the computational (all-ground) basis states."""
-    return np.array(
-        [
-            basis_index(tuple(LEVELS[b] for b in bits))
-            for bits in computational_bits(n_atoms)
-        ],
-        dtype=int,
-    )
+    """Full-space indices of the computational (all-ground) basis states,
+    in gate order."""
+    in_ground = level_codes(n_atoms) != LEVEL_CODE["r"]
+    return _read_only(np.flatnonzero(in_ground.all(axis=0)))
 
 
+@functools.cache
 def rydberg_weights(n_atoms: int) -> np.ndarray:
     """Number of atoms in ``r`` for every full-space basis index."""
-    weights = np.zeros(3**n_atoms, dtype=float)
-    for index in range(3**n_atoms):
-        weights[index] = levels_from_index(index, n_atoms).count("r")
-    return weights
+    in_r = level_codes(n_atoms) == LEVEL_CODE["r"]
+    return _read_only(in_r.sum(axis=0).astype(float))
+
+
+@functools.cache
+def coupling_indices(n_atoms: int) -> np.ndarray:
+    """Basis-index pairs that one ``|lower> <-> |r>`` coupling connects.
+
+    ``coupling_indices(n)[atom, LEVEL_CODE[lower]]`` is ``(rows, cols)``:
+    ``cols`` are the states with ``atom`` in ``lower``, and ``rows`` the same
+    states with ``atom`` in ``r``, so the coupling's ``|r><lower|`` entries
+    sit at ``[rows, cols]``.
+    """
+    codes = level_codes(n_atoms)
+    table = np.empty((n_atoms, 2, 2, 3 ** (n_atoms - 1)), dtype=np.intp)
+    for atom in range(n_atoms):
+        stride = 3 ** (n_atoms - 1 - atom)
+        for lower in (LEVEL_CODE["g0"], LEVEL_CODE["g1"]):
+            cols = np.flatnonzero(codes[atom] == lower)
+            table[atom, lower] = (cols + (LEVEL_CODE["r"] - lower) * stride, cols)
+    return _read_only(table)
 
 
 def hermitian_defect(matrix: np.ndarray) -> float:
@@ -178,20 +195,3 @@ def pade_expm(a: np.ndarray) -> np.ndarray:
     for _ in range(squarings):
         r = r @ r
     return r
-
-
-def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product, consistent with :func:`basis_index` ordering."""
-    return np.kron(np.asarray(a), np.asarray(b))
-
-
-def embed_operator(op: np.ndarray, atom: int, n_atoms: int) -> np.ndarray:
-    """Single-atom operator acting on ``atom``, identity on all others."""
-    op = np.asarray(op, dtype=complex)
-    if op.shape != (3, 3):
-        raise ValueError(f"expected a 3x3 single-atom operator, got {op.shape}")
-    if not 0 <= atom < n_atoms:
-        raise ValueError(f"atom {atom} out of range for {n_atoms} atoms")
-    factors = [IDENTITY_3] * n_atoms
-    factors[atom] = op
-    return reduce(tensor_product, factors)

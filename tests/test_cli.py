@@ -118,6 +118,39 @@ def test_simulate_extreme_control_drive(tmp_path):
     assert payload["unitarity_defect"] < 1e-9
 
 
+@pytest.mark.parametrize("decay", ["none", "effective"])
+def test_tiny_spacing_gives_one_error_line(tmp_path, capsys, decay):
+    # L = 1 nm makes max|H| * duration about 4e59 rad
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"L_um": 1e-9}))
+    argv = ["simulate", "--config", str(cfg_path), "--decay", decay]
+    assert main(argv + ["--out", str(tmp_path / "sim.json")]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "max|H|" in lines[0]
+
+
+def test_closed_stdout_exits_quietly(tmp_path):
+    # the pipe's read end is closed before the child starts, so its first
+    # write to stdout fails with EPIPE whatever the timing
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "blockadesim.cli", "synth",
+             "--out", str(tmp_path / "synth.json")],
+            env={**os.environ, "PYTHONPATH": SRC},
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == ""
+
+
 def test_no_scipy_loaded_with_or_without_decay(tmp_path):
     # a fresh interpreter: other test modules load scipy into this process
     script = textwrap.dedent(

@@ -198,6 +198,17 @@ def test_frame_correction_phase_bookkeeping():
     )
 
 
+def test_frame_corrected_evolve_repeats_exactly():
+    # the correction scales propagator columns picked by the cached,
+    # read-only computational index table; a second call must not see it
+    options = SimulationOptions(frame_correction=True)
+    first = evolve(deutsch_schedule(DRIVE), REF_PARAMS, options)
+    second = evolve(deutsch_schedule(DRIVE), REF_PARAMS, options)
+    assert first.phase_correction != 0.0
+    np.testing.assert_array_equal(first.full_propagator, second.full_propagator)
+    assert first.dwell_per_input == second.dwell_per_input
+
+
 def test_frame_correction_noop_without_residue():
     result = evolve(
         cnot_schedule(DRIVE),

@@ -1,12 +1,15 @@
 """Tests for the interaction model and segment Hamiltonians."""
 
+import itertools
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
 
 from blockadesim import qcore
 from blockadesim.model import (
+    MAX_SEGMENT_PHASE,
     GateSchedule,
     PhysicalParams,
     PulseSegment,
@@ -19,6 +22,34 @@ from blockadesim.model import (
 TWO_PI = 2.0 * math.pi
 
 REF_PARAMS = PhysicalParams(c6_over_2pi=-633.0, spacing=6.0, lifetime=1590.0, n_atoms=3)
+
+
+def kron_embed(op, atom, n_atoms):
+    """Single-atom 3x3 operator on ``atom``, identity on the others."""
+    factors = [np.eye(3, dtype=complex)] * n_atoms
+    factors[atom] = np.asarray(op, dtype=complex)
+    return reduce(np.kron, factors)
+
+
+def reference_hamiltonian(segment, params, cc_interaction):
+    """Segment Hamiltonian built from Kronecker embeds, term by term."""
+    n = params.n_atoms
+    proj_r = np.zeros((3, 3))
+    proj_r[2, 2] = 1.0
+    pairs = [(0, 1, 1.0)] if n == 2 else [(0, 2, 1.0), (1, 2, 1.0)]
+    if n == 3 and cc_interaction == "physical":
+        pairs.append((0, 1, 2.0))
+    h = np.zeros((3**n, 3**n), dtype=complex)
+    for a, b, rel in pairs:
+        shift = vdw_shift(params.c6_over_2pi, rel * params.spacing)
+        h += shift * (kron_embed(proj_r, a, n) @ kron_embed(proj_r, b, n))
+    for tr in segment.transitions:
+        lower = qcore.LEVEL_CODE[tr.lower]
+        op = np.zeros((3, 3), dtype=complex)
+        op[2, lower] = tr.rabi / 2.0
+        op[lower, 2] = np.conj(tr.rabi) / 2.0
+        h += kron_embed(op, tr.atom, n)
+    return h
 
 
 def test_vdw_shift_reference_value():
@@ -147,6 +178,48 @@ def test_segment_hamiltonian_rejects_out_of_register_atom():
     segment = PulseSegment((Transition(2, "g0", 1.0),), 1.0)
     with pytest.raises(ValueError):
         segment_hamiltonian(segment, params)
+
+
+@pytest.mark.parametrize("cc_interaction", ["physical", "none"])
+@pytest.mark.parametrize("n_atoms", [2, 3])
+def test_segment_hamiltonian_matches_kron_reference(n_atoms, cc_interaction):
+    params = PhysicalParams(-633.0, 6.0, 1590.0, n_atoms=n_atoms)
+    rng = np.random.default_rng(10 * n_atoms + len(cc_interaction))
+    couplings = [(atom, lower) for atom in range(n_atoms) for lower in ("g0", "g1")]
+    cases = 0
+    for size in range(1, len(couplings) + 1):
+        for subset in itertools.combinations(couplings, size):
+            rabis = TWO_PI * 10.0 * (rng.normal(size=size) + 1j * rng.normal(size=size))
+            segment = PulseSegment(
+                tuple(Transition(a, lev, w) for (a, lev), w in zip(subset, rabis)), 0.3
+            )
+            np.testing.assert_array_equal(
+                segment_hamiltonian(segment, params, cc_interaction=cc_interaction),
+                reference_hamiltonian(segment, params, cc_interaction),
+            )
+            cases += 1
+    assert cases == 2 ** len(couplings) - 1
+
+
+def test_segment_phase_limit():
+    # no interaction: max|H| is |rabi|/2 = 1 rad/us
+    free = PhysicalParams(0.0, 6.0, 1590.0, n_atoms=2)
+    drive = (Transition(0, "g0", 2.0),)
+    segment_hamiltonian(PulseSegment(drive, MAX_SEGMENT_PHASE), free)
+    with pytest.raises(ValueError, match="max\\|H\\|"):
+        segment_hamiltonian(PulseSegment(drive, 2.0 * MAX_SEGMENT_PHASE), free)
+    # a 1 nm spacing puts the blockade shift near 4e60 rad/us
+    tiny = PhysicalParams(-633.0, 1e-9, 1590.0, n_atoms=3)
+    with pytest.raises(ValueError, match="max\\|H\\|"):
+        segment_hamiltonian(PulseSegment((), 1.0), tiny)
+    # a control pi pulse at 1e300 MHz: max|H| * duration is pi/2
+    omega = TWO_PI * 1e300
+    pi_pulse = PulseSegment((Transition(0, "g1", omega),), math.pi / omega)
+    segment_hamiltonian(pi_pulse, REF_PARAMS)
+    # blockade-limit studies scale C6 by 1e3: about 3e5 rad over a 3.7 us pulse
+    strong = REF_PARAMS.with_interaction_scaled(1e3)
+    h = segment_hamiltonian(PulseSegment((Transition(2, "g0", 1.0),), 3.7), strong)
+    assert 1e5 < np.abs(h).max() * 3.7 < MAX_SEGMENT_PHASE
 
 
 def test_transition_validation():

@@ -35,9 +35,11 @@ def test_basis_index_examples(levels, index):
 
 @pytest.mark.parametrize("n_atoms", [2, 3])
 def test_basis_index_roundtrip(n_atoms):
+    codes = qcore.level_codes(n_atoms)
+    assert codes.shape == (n_atoms, 3**n_atoms)
     seen = set()
     for index in range(3**n_atoms):
-        levels = qcore.levels_from_index(index, n_atoms)
+        levels = tuple(qcore.LEVELS[c] for c in codes[:, index])
         assert qcore.basis_index(levels) == index
         seen.add(levels)
     assert len(seen) == 3**n_atoms
@@ -46,13 +48,6 @@ def test_basis_index_roundtrip(n_atoms):
 def test_basis_index_rejects_unknown_level():
     with pytest.raises(ValueError):
         qcore.basis_index(("g0", "g2", "r"))
-
-
-def test_levels_from_index_range():
-    with pytest.raises(ValueError):
-        qcore.levels_from_index(27, 3)
-    with pytest.raises(ValueError):
-        qcore.levels_from_index(-1, 3)
 
 
 def test_computational_indices_order():
@@ -67,6 +62,31 @@ def test_rydberg_weights():
     assert w[qcore.basis_index(("r", "g1", "g0"))] == 1
     assert w[qcore.basis_index(("r", "r", "g0"))] == 2
     assert w[26] == 3
+
+
+@pytest.mark.parametrize(
+    "table",
+    [qcore.level_codes, qcore.computational_indices, qcore.rydberg_weights,
+     qcore.coupling_indices],
+)
+def test_register_tables_are_cached_and_read_only(table):
+    assert table(3) is table(3)
+    with pytest.raises(ValueError):
+        table(3)[0] = 5
+
+
+@pytest.mark.parametrize("n_atoms", [2, 3])
+def test_coupling_indices_pair_lower_with_r_on_one_atom(n_atoms):
+    codes = qcore.level_codes(n_atoms)
+    couplings = qcore.coupling_indices(n_atoms)
+    for atom in range(n_atoms):
+        others = np.delete(np.arange(n_atoms), atom)
+        for lower in (qcore.LEVEL_CODE["g0"], qcore.LEVEL_CODE["g1"]):
+            rows, cols = couplings[atom, lower]
+            assert np.all(codes[atom, cols] == lower)
+            assert np.all(codes[atom, rows] == qcore.LEVEL_CODE["r"])
+            np.testing.assert_array_equal(codes[others][:, rows], codes[others][:, cols])
+            assert len(set(cols)) == 3 ** (n_atoms - 1)
 
 
 def test_matrix_exponential_zero_hamiltonian():
@@ -169,34 +189,21 @@ def test_hermitian_checks():
         qcore.require_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
-def test_tensor_product_identity():
-    np.testing.assert_array_equal(
-        qcore.tensor_product(np.eye(3), np.eye(3)), np.eye(9)
-    )
-
-
-def test_tensor_product_mixed_product_property():
-    rng = np.random.default_rng(8)
-    a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    x = rng.normal(size=3) + 1j * rng.normal(size=3)
-    y = rng.normal(size=3) + 1j * rng.normal(size=3)
-    left = qcore.tensor_product(a, b) @ np.kron(x, y)
-    right = np.kron(a @ x, b @ y)
-    np.testing.assert_allclose(left, right, atol=1e-12)
-
-
 def test_embedded_operators_commute_on_distinct_atoms():
+    # couplings scattered onto the index tables act on one atom each
     rng = np.random.default_rng(5)
-    op_a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    op_b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    a = qcore.embed_operator(op_a, 0, 3)
-    b = qcore.embed_operator(op_b, 2, 3)
-    assert np.abs(a @ b - b @ a).max() < 1e-12
+    couplings = qcore.coupling_indices(3)
 
+    def coupling(atom, lower):
+        op = np.zeros((27, 27), dtype=complex)
+        rows, cols = couplings[atom, lower]
+        op[rows, cols] = rng.normal() + 1j * rng.normal()
+        op[cols, rows] = rng.normal() + 1j * rng.normal()
+        return op
 
-def test_embed_operator_validates():
-    with pytest.raises(ValueError):
-        qcore.embed_operator(np.eye(2), 0, 3)
-    with pytest.raises(ValueError):
-        qcore.embed_operator(np.eye(3), 3, 3)
+    for lower_a in (0, 1):
+        for lower_b in (0, 1):
+            a, b = coupling(0, lower_a), coupling(2, lower_b)
+            assert np.abs(a @ b - b @ a).max() < 1e-12
+    a, b = coupling(1, 0), coupling(1, 1)
+    assert np.abs(a @ b - b @ a).max() > 1e-3
