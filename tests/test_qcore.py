@@ -75,20 +75,6 @@ def test_register_tables_are_cached_and_read_only(table):
         table(3)[0] = 5
 
 
-@pytest.mark.parametrize("n_atoms", [2, 3])
-def test_coupling_indices_pair_lower_with_r_on_one_atom(n_atoms):
-    codes = qcore.level_codes(n_atoms)
-    couplings = qcore.coupling_indices(n_atoms)
-    for atom in range(n_atoms):
-        others = np.delete(np.arange(n_atoms), atom)
-        for lower in (qcore.LEVEL_CODE["g0"], qcore.LEVEL_CODE["g1"]):
-            rows, cols = couplings[atom, lower]
-            assert np.all(codes[atom, cols] == lower)
-            assert np.all(codes[atom, rows] == qcore.LEVEL_CODE["r"])
-            np.testing.assert_array_equal(codes[others][:, rows], codes[others][:, cols])
-            assert len(set(cols)) == 3 ** (n_atoms - 1)
-
-
 def test_matrix_exponential_zero_hamiltonian():
     u = qcore.matrix_exponential(np.zeros((5, 5)), 3.7)
     np.testing.assert_allclose(u, np.eye(5), atol=1e-14)
