@@ -629,7 +629,12 @@ def main(argv=None) -> int:
         "phase": cmd_phase,
     }
     try:
-        return commands[args.command](args)
+        status = commands[args.command](args)
+        # A piped stdout is block-buffered, so a short report sits in the
+        # buffer until it is flushed; flush here, where a closed reader's
+        # BrokenPipeError is caught, not at interpreter exit.
+        sys.stdout.flush()
+        return status
     except (ConfigError, ValueError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -132,14 +132,16 @@ def test_tiny_spacing_gives_one_error_line(tmp_path, capsys, decay):
 
 def test_closed_stdout_exits_quietly(tmp_path):
     # the pipe's read end is closed before the child starts, so its first
-    # write to stdout fails with EPIPE whatever the timing
+    # write to stdout fails with EPIPE whatever the timing; PYTHONUNBUFFERED
+    # is dropped so that the child buffers stdout as it does in a shell
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
         proc = subprocess.run(
             [sys.executable, "-m", "blockadesim.cli", "synth",
              "--out", str(tmp_path / "synth.json")],
-            env={**os.environ, "PYTHONPATH": SRC},
+            env={**env, "PYTHONPATH": SRC},
             stdout=write_end,
             stderr=subprocess.PIPE,
             text=True,
