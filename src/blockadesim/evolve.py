@@ -7,6 +7,17 @@ Rydberg dwell is integrated in closed form in each segment's eigenbasis, so it
 is exact per segment as well, at a cost independent of segment durations.
 Decay is an effective non-Hermitian term -i/(2 tau) on every Rydberg
 projector: lost norm equals the decay probability, branching is not tracked.
+
+Sector packing: a coupling links ``|lower>`` and ``|r>`` of one atom, so the
+Hamiltonians, the decay term and the Rydberg weights are block-diagonal over
+the connected components of the schedule's couplings (:func:`qcore.sectors`).
+In the paper's protocols every control pulse drives ``g0 <-> r`` only, which
+gives blocks of 12, 6, 6 and 3 states for three atoms and 6 and 3 for two.
+:func:`evolve` gathers every segment's blocks into one zero-padded
+``(segments, blocks, m, m)`` stack, makes one batched exponential call on it,
+chains the segments with batched products and scatters the blocks into the
+full propagator once.  The dwell integral runs on the same stack, with one
+batched eigendecomposition for all segments.
 """
 
 from __future__ import annotations
@@ -81,36 +92,35 @@ def _wrap_angle(angle: float) -> float:
     return wrapped - math.pi
 
 
-def _decay_term(n_atoms: int, tau: float) -> np.ndarray:
-    """-i/(2 tau) sum_k |r><r|_k as a full-space matrix."""
-    return np.diag(-0.5j / tau * qcore.rydberg_weights(n_atoms))
-
-
 def _integrate_dwell(
-    hamiltonians: list[np.ndarray],
-    durations: list[float],
-    initial_columns: np.ndarray,
-    weights: np.ndarray,
+    blocks: np.ndarray, durations: np.ndarray, weights: np.ndarray
 ) -> np.ndarray:
-    """Exact integral of the total Rydberg population for each column.
+    """Exact integral of the total Rydberg population from each basis state
+    of each block.
 
-    In a segment's eigenbasis, with ``c = V^dag psi`` and ``M = V^dag W V``,
-    the population is ``sum_jk conj(c_j) M_jk c_k exp(i (lam_j - lam_k) t)``,
-    whose integral over [0, T] weights ``M_jk`` by
-    ``T exp(i d_jk / 2) sinc(d_jk / 2)`` with ``d_jk = (lam_j - lam_k) T``.
-    ``np.sinc`` is 1 at 0, so degenerate eigenvalues need no special case.
+    ``blocks`` is the ``(segments, n_blocks, m, m)`` stack of Hermitian
+    segment blocks and ``weights`` the ``(n_blocks, m)`` Rydberg counts; the
+    result's entry ``[b, j]`` is the dwell of the input in slot ``j`` of block
+    ``b``.  In a segment's eigenbasis, with ``c = V^dag psi`` and
+    ``M = V^dag W V``, the population is
+    ``sum_jk conj(c_j) M_jk c_k exp(i (lam_j - lam_k) t)``, whose integral
+    over [0, T] weights ``M_jk`` by ``T exp(i d_jk / 2) sinc(d_jk / 2)`` with
+    ``d_jk = (lam_j - lam_k) T``.  ``np.sinc`` is 1 at 0, so degenerate
+    eigenvalues need no special case.
     """
-    totals = np.zeros(initial_columns.shape[1])
-    psi = initial_columns.astype(complex)
-    for h, duration in zip(hamiltonians, durations):
-        eigvals, eigvecs = np.linalg.eigh(h)
-        adjoint = eigvecs.conj().T
-        coeffs = adjoint @ psi
-        overlap = (adjoint * weights) @ eigvecs
-        phase = np.subtract.outer(eigvals, eigvals) * duration
-        kernel = duration * np.exp(0.5j * phase) * np.sinc(phase / (2.0 * np.pi))
-        totals += np.sum(coeffs.conj() * ((overlap * kernel) @ coeffs), axis=0).real
-        psi = eigvecs @ (np.exp(-1j * eigvals * duration)[:, None] * coeffs)
+    eigvals, eigvecs = np.linalg.eigh(blocks)
+    adjoint = eigvecs.conj().swapaxes(-1, -2)
+    t = durations[:, None, None, None]
+    phase = (eigvals[..., :, None] - eigvals[..., None, :]) * t
+    kernel = t * np.exp(0.5j * phase) * np.sinc(phase / (2.0 * np.pi))
+    weighted = ((adjoint * weights[:, None, :]) @ eigvecs) * kernel
+    steps = eigvecs * np.exp(-1j * eigvals * durations[:, None, None])[..., None, :]
+    coeffs = adjoint[0]  # each block starts from its identity
+    totals = np.zeros(weights.shape)
+    for s in range(len(durations)):
+        if s:
+            coeffs = adjoint[s] @ (steps[s - 1] @ coeffs)
+        totals += np.sum(coeffs.conj() * (weighted[s] @ coeffs), axis=-2).real
     return totals
 
 
@@ -150,16 +160,33 @@ def evolve(
         segment_hamiltonian(seg, params, cc_interaction=opts.cc_interaction)
         for seg in schedule.segments
     ]
-    durations = [seg.duration for seg in schedule.segments]
+    durations = np.array([seg.duration for seg in schedule.segments])
+    couplings = frozenset(
+        (tr.atom, tr.lower) for seg in schedule.segments for tr in seg.transitions
+    )
+    index, valid = qcore.sectors(n, couplings)
+    pairs = valid[:, :, None] & valid[:, None, :]
+    rows = np.broadcast_to(index[:, :, None], pairs.shape)[pairs]
+    cols = np.broadcast_to(index[:, None, :], pairs.shape)[pairs]
+    weights = np.where(valid, qcore.rydberg_weights(n)[index], 0.0)
 
-    decay = _decay_term(n, opts.decay_tau) if opts.decay_tau is not None else None
     propagator = np.eye(dim, dtype=complex)
-    for h, duration in zip(hamiltonians, durations):
-        h_eff = h if decay is None else h + decay
-        propagator = (
-            qcore.matrix_exponential(h_eff, duration, hermitian=decay is None)
-            @ propagator
+    if hamiltonians:
+        blocks = np.zeros((len(durations), *pairs.shape), dtype=complex)
+        blocks[:, pairs] = np.stack(hamiltonians)[:, rows, cols]
+        h_eff = blocks
+        if opts.decay_tau is not None:
+            # -i/(2 tau) on every Rydberg projector
+            decay = -0.5j / opts.decay_tau * weights
+            h_eff = blocks + decay[..., None] * np.eye(valid.shape[1])
+        steps = qcore.matrix_exponential(
+            h_eff, durations[:, None], hermitian=opts.decay_tau is None
         )
+        product = steps[0]
+        for step in steps[1:]:
+            product = step @ product
+        propagator = np.zeros((dim, dim), dtype=complex)
+        propagator[rows, cols] = product[pairs]
 
     comp = qcore.computational_indices(n)
     labels = qcore.computational_labels(n)
@@ -186,13 +213,11 @@ def evolve(
     norm_loss = {lab: float(1.0 - p) for lab, p in zip(labels, total_population)}
 
     dwell = None
-    if opts.compute_dwell and schedule.segments:
-        initial = np.zeros((dim, len(comp)), dtype=complex)
-        initial[comp, np.arange(len(comp))] = 1.0
-        totals = _integrate_dwell(
-            hamiltonians, durations, initial, qcore.rydberg_weights(n)
-        )
-        dwell = {lab: float(t) for lab, t in zip(labels, totals)}
+    if opts.compute_dwell and hamiltonians:
+        totals = _integrate_dwell(blocks, durations, weights)
+        slot = np.empty(dim, dtype=np.intp)
+        slot[index[valid]] = np.flatnonzero(valid)
+        dwell = {lab: float(t) for lab, t in zip(labels, totals.ravel()[slot[comp]])}
     elif opts.compute_dwell:
         dwell = {lab: 0.0 for lab in labels}
 
@@ -218,25 +243,12 @@ def rydberg_dwell(
     computational input, decay off.
 
     ``input_state`` is a bit string such as "010" (control 1, control 2,
-    target order).
+    target order).  The value is that input's entry of :func:`evolve`'s
+    ``dwell_per_input``.
     """
     n = schedule.n_atoms
-    if n != params.n_atoms:
-        raise ValueError(
-            f"schedule register ({n}) does not match params register ({params.n_atoms})"
-        )
     bits = str(input_state)
     if len(bits) != n or any(b not in "01" for b in bits):
         raise ValueError(f"input_state must be {n} bits of 0/1, got {input_state!r}")
-    if not schedule.segments:
-        return 0.0
-    hamiltonians = [
-        segment_hamiltonian(seg, params, cc_interaction=cc_interaction)
-        for seg in schedule.segments
-    ]
-    durations = [seg.duration for seg in schedule.segments]
-    initial = qcore.ket(tuple("g0" if b == "0" else "g1" for b in bits))[:, None]
-    totals = _integrate_dwell(
-        hamiltonians, durations, initial, qcore.rydberg_weights(n)
-    )
-    return float(totals[0])
+    options = SimulationOptions(cc_interaction=cc_interaction)
+    return evolve(schedule, params, options).dwell_per_input[bits]

@@ -11,6 +11,7 @@ indices is (control 1, control 2, target) for three atoms and
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -30,11 +31,22 @@ MAX_SEGMENT_PHASE = 1e12
 def vdw_shift(c6_over_2pi: float, distance: float) -> float:
     """Pair shift C6/d^6 as an angular frequency in rad/us.
 
-    ``c6_over_2pi`` is in GHz um^6 (signed), ``distance`` in um.
+    ``c6_over_2pi`` is in GHz um^6 (signed), ``distance`` in um.  Raises
+    ``ValueError`` when ``distance**6`` overflows or underflows the normal
+    float range, or when the shift is not finite.
     """
     if not distance > 0:
         raise ValueError(f"distance must be > 0, got {distance}")
-    return TWO_PI * 1e3 * c6_over_2pi / distance**6
+    try:
+        d6 = float(distance) ** 6
+    except OverflowError:
+        d6 = math.inf
+    if not sys.float_info.min <= d6 < math.inf:
+        raise ValueError(f"distance**6 is outside the float range at distance {distance} um")
+    shift = TWO_PI * 1e3 * c6_over_2pi / d6
+    if not math.isfinite(shift):
+        raise ValueError(f"van der Waals shift is not finite at distance {distance} um")
+    return shift
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,6 @@ rad/us and all times are us throughout the package.
 from __future__ import annotations
 
 import functools
-import math
 from itertools import product
 from typing import Sequence
 
@@ -48,13 +47,6 @@ def basis_index(levels: Sequence[str]) -> int:
             ) from None
         index = 3 * index + code
     return index
-
-
-def ket(levels: Sequence[str]) -> np.ndarray:
-    """Unit state vector for one product basis state."""
-    vec = np.zeros(3 ** len(levels), dtype=complex)
-    vec[basis_index(levels)] = 1.0
-    return vec
 
 
 def computational_bits(n_atoms: int) -> list[tuple[int, ...]]:
@@ -116,6 +108,40 @@ def coupling_indices(n_atoms: int) -> np.ndarray:
     return _read_only(table)
 
 
+@functools.cache
+def sectors(
+    n_atoms: int, couplings: frozenset[tuple[int, str]]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Blocks of basis states that a set of ``(atom, lower)`` couplings joins.
+
+    A coupling links ``|lower>`` and ``|r>`` of one atom, and every other
+    term of a segment Hamiltonian is diagonal, so any Hamiltonian built from
+    these couplings is block-diagonal over the connected components of their
+    union.  Returns ``(index, valid)``: row ``b`` of the ``(n_blocks, m)``
+    ``index`` holds block ``b``'s basis indices in ascending order, padded to
+    the largest block size ``m`` with index 0 where ``valid`` is False.
+    Blocks are ordered by their smallest basis index.
+    """
+    table = coupling_indices(n_atoms)
+    label = np.arange(3**n_atoms)
+    while True:
+        # every state takes the smallest label among its neighbours until
+        # each component carries the index of its first state
+        before = label.copy()
+        for atom, lower in couplings:
+            rows, cols = table[atom, LEVEL_CODE[lower]]
+            low = np.minimum(label[rows], label[cols])
+            label[rows] = low
+            label[cols] = low
+        if np.array_equal(label, before):
+            break
+    _, block, sizes = np.unique(label, return_inverse=True, return_counts=True)
+    valid = np.arange(sizes.max()) < sizes[:, None]
+    index = np.zeros(valid.shape, dtype=np.intp)
+    index[valid] = np.argsort(block, kind="stable")
+    return _read_only(index), _read_only(valid)
+
+
 def hermitian_defect(matrix: np.ndarray) -> float:
     """Max-norm of M - M^dagger relative to the matrix scale."""
     matrix = np.asarray(matrix)
@@ -141,45 +167,51 @@ def unitarity_defect(matrix: np.ndarray) -> float:
 
 
 def matrix_exponential(
-    hamiltonian: np.ndarray, duration: float, *, hermitian: bool | None = None
+    hamiltonian: np.ndarray, duration: float | np.ndarray, *, hermitian: bool
 ) -> np.ndarray:
-    """Propagator exp(-i H t) for a constant Hamiltonian segment.
+    """Propagators exp(-i H t) for constant Hamiltonian segments.
 
-    Hermitian input (detected unless ``hermitian`` is forced) goes through an
-    eigendecomposition, which is exact per segment; non-Hermitian input, as
-    produced by the effective decay term, goes through :func:`pade_expm`.
+    ``hamiltonian`` is one ``(m, m)`` matrix or a stack ``(..., m, m)``, and
+    ``duration`` a scalar or an array that broadcasts against the stack's
+    leading shape.  With ``hermitian`` the stack goes through one batched
+    eigendecomposition, which is exact per segment; otherwise, as for the
+    effective decay term, through one batched :func:`pade_expm`.
     """
     h = np.asarray(hamiltonian, dtype=complex)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {h.shape}")
+    if h.ndim < 2 or h.shape[-1] != h.shape[-2]:
+        raise ValueError(f"expected square matrices, got shape {h.shape}")
     if not np.all(np.isfinite(h)):
         raise FloatingPointError("Hamiltonian contains non-finite entries")
-    if not math.isfinite(duration) or duration < 0:
-        raise ValueError(f"duration must be finite and >= 0, got {duration}")
-    if hermitian is None:
-        hermitian = is_hermitian(h)
+    t = np.asarray(duration, dtype=float)
+    if not np.all(np.isfinite(t)) or np.any(t < 0):
+        raise ValueError(f"durations must be finite and >= 0, got {duration}")
+    t = np.broadcast_to(t, h.shape[:-2])
     if hermitian:
         eigvals, eigvecs = np.linalg.eigh(h)
-        u = (eigvecs * np.exp(-1j * eigvals * duration)) @ eigvecs.conj().T
+        phases = np.exp(-1j * eigvals * t[..., None])
+        u = (eigvecs * phases[..., None, :]) @ eigvecs.conj().swapaxes(-1, -2)
     else:
-        u = pade_expm(-1j * duration * h)
+        u = pade_expm(-1j * t[..., None, None] * h)
     if not np.all(np.isfinite(u)):
         raise FloatingPointError("propagator contains non-finite entries")
     return u
 
 
 def pade_expm(a: np.ndarray) -> np.ndarray:
-    """exp(a) for a square matrix by scaling and squaring.
+    """exp(a) for a square matrix, or for each matrix of a ``(..., m, m)``
+    stack, by scaling and squaring.
 
-    ``a`` is halved until its 1-norm is at most ``_PADE13_NORM``, the
+    Each matrix is halved until its 1-norm is at most ``_PADE13_NORM``, the
     degree-13 Pade approximant r(a) = q(a)^-1 p(a) is solved for, and the
-    result squared back.
+    result squared back as many times as that matrix was halved.
     """
-    norm = float(np.abs(a).sum(axis=0).max())
-    squarings = max(0, math.ceil(math.log2(norm / _PADE13_NORM))) if norm > 0 else 0
-    a = a * 0.5**squarings
+    norm = np.abs(a).sum(axis=-2).max(axis=-1)
+    squarings = np.zeros(norm.shape, dtype=int)
+    large = norm > _PADE13_NORM
+    squarings[large] = np.ceil(np.log2(norm[large] / _PADE13_NORM))
+    a = a * np.ldexp(1.0, -squarings)[..., None, None]
     b = _PADE13
-    eye = np.eye(a.shape[0], dtype=a.dtype)
+    eye = np.eye(a.shape[-1], dtype=a.dtype)
     a2 = a @ a
     a4 = a2 @ a2
     a6 = a4 @ a2
@@ -192,6 +224,6 @@ def pade_expm(a: np.ndarray) -> np.ndarray:
         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
     )
     r = np.linalg.solve(even - odd, even + odd)
-    for _ in range(squarings):
-        r = r @ r
+    for k in range(int(squarings.max(initial=0))):
+        r = np.where((squarings > k)[..., None, None], r @ r, r)
     return r

@@ -130,6 +130,19 @@ def test_tiny_spacing_gives_one_error_line(tmp_path, capsys, decay):
     assert "max|H|" in lines[0]
 
 
+@pytest.mark.parametrize("command", ["budget", "simulate"])
+@pytest.mark.parametrize("spacing", [1e60, 1e-60])
+def test_spacing_outside_float_range_gives_one_error_line(tmp_path, capsys, command, spacing):
+    # L**6 overflows at 1e60 um and underflows to 0 at 1e-60 um
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"L_um": spacing}))
+    argv = [command, "--config", str(cfg_path), "--out", str(tmp_path / "out.json")]
+    assert main(argv) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "float range" in lines[0]
+
+
 def test_closed_stdout_exits_quietly(tmp_path):
     # the pipe's read end is closed before the child starts, so its first
     # write to stdout fails with EPIPE whatever the timing; PYTHONUNBUFFERED

@@ -14,7 +14,13 @@ from blockadesim.evolve import (
     rydberg_dwell,
 )
 from blockadesim.ideal import cnot_ideal, deutsch_ideal, gate_fidelity, toffoli_ideal
-from blockadesim.model import GateSchedule, PhysicalParams, PulseSegment, Transition
+from blockadesim.model import (
+    GateSchedule,
+    PhysicalParams,
+    PulseSegment,
+    Transition,
+    segment_hamiltonian,
+)
 from blockadesim.schedule import (
     DriveParams,
     cnot_schedule,
@@ -316,3 +322,112 @@ def test_wait_segment_only_accumulates_interaction_phase():
     u = result.full_propagator
     assert np.abs(u - np.diag(np.diag(u))).max() < 1e-14
     np.testing.assert_allclose(np.abs(np.diag(u)), 1.0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# sector packing against the full-space reference
+# ---------------------------------------------------------------------------
+
+GRID_MHZ = [0.02 + 0.02 * i for i in range(115)]
+GATES = [
+    (deutsch_schedule, REF_PARAMS),
+    (toffoli_schedule, REF_PARAMS),
+    (cnot_schedule, REF_PARAMS_2),
+]
+
+
+def reference_evolve(schedule, params, decay_tau=None, cc_interaction="physical"):
+    """Propagator and dwell times without sector packing: the product of one
+    full-space exponential per segment, and the closed-form dwell integral
+    on the full space, one computational input per column."""
+    n = schedule.n_atoms
+    weights = qcore.rydberg_weights(n)
+    decay = 0.0 if decay_tau is None else np.diag(-0.5j / decay_tau * weights)
+    comp = qcore.computational_indices(n)
+    propagator = np.eye(3**n, dtype=complex)
+    psi = propagator[:, comp]
+    totals = np.zeros(len(comp))
+    for seg in schedule.segments:
+        h = segment_hamiltonian(seg, params, cc_interaction=cc_interaction)
+        t = seg.duration
+        step = qcore.matrix_exponential(h + decay, t, hermitian=decay_tau is None)
+        propagator = step @ propagator
+        eigvals, eigvecs = np.linalg.eigh(h)
+        adjoint = eigvecs.conj().T
+        coeffs = adjoint @ psi
+        overlap = (adjoint * weights) @ eigvecs
+        phase = np.subtract.outer(eigvals, eigvals) * t
+        kernel = t * np.exp(0.5j * phase) * np.sinc(phase / (2.0 * np.pi))
+        totals += np.sum(coeffs.conj() * ((overlap * kernel) @ coeffs), axis=0).real
+        psi = eigvecs @ (np.exp(-1j * eigvals * t)[:, None] * coeffs)
+    labels = qcore.computational_labels(n)
+    return propagator, dict(zip(labels, totals))
+
+
+def schedule_couplings(schedule):
+    return frozenset(
+        (tr.atom, tr.lower) for seg in schedule.segments for tr in seg.transitions
+    )
+
+
+def assert_matches_reference(schedule, params, decay_tau, cc, prop_tol, dwell_rtol):
+    options = SimulationOptions(decay_tau=decay_tau, cc_interaction=cc)
+    result = evolve(schedule, params, options)
+    propagator, dwell = reference_evolve(schedule, params, decay_tau, cc)
+    assert np.abs(result.full_propagator - propagator).max() <= prop_tol
+    for label, expected in dwell.items():
+        assert abs(result.dwell_per_input[label] - expected) <= dwell_rtol * abs(expected)
+
+
+@pytest.mark.parametrize("cc", ["physical", "none"])
+@pytest.mark.parametrize("decay_tau", [None, 1590.0])
+@pytest.mark.parametrize("builder,params", GATES)
+def test_sector_evolve_matches_full_space_reference(builder, params, decay_tau, cc):
+    assert_matches_reference(builder(DRIVE), params, decay_tau, cc, 1e-13, 1e-13)
+
+
+def _control_on_g1_schedule():
+    # a g1 <-> r drive on control 1 joins the sectors that differ in that
+    # control's ground level, giving blocks of 18 and 9
+    kick = PulseSegment((Transition(0, "g1", TWO_PI * 3.0),), 0.07)
+    return GateSchedule((*deutsch_schedule(DRIVE).segments, kick), "hand-built", 3)
+
+
+def _target_only_schedule():
+    # no control pulse: nine blocks of 3, one per pair of control levels
+    return GateSchedule(deutsch_schedule(DRIVE).segments[1:4], "hand-built", 3)
+
+
+@pytest.mark.parametrize("decay_tau", [None, 1590.0])
+@pytest.mark.parametrize(
+    "build,sizes",
+    [(_control_on_g1_schedule, [18, 9]), (_target_only_schedule, [3] * 9)],
+)
+def test_sector_evolve_follows_the_schedule_couplings(build, sizes, decay_tau):
+    schedule = build()
+    _, valid = qcore.sectors(3, schedule_couplings(schedule))
+    assert valid.sum(axis=1).tolist() == sizes
+    assert_matches_reference(schedule, REF_PARAMS, decay_tau, "physical", 1e-13, 1e-13)
+
+
+@pytest.mark.parametrize("decay_tau", [None, 1590.0])
+def test_sector_evolve_matches_reference_across_the_grid(decay_tau):
+    # at 0.02 MHz the decayed target pulses reach about 1e4 rad
+    for f in GRID_MHZ:
+        drive = DriveParams.from_ratio(TWO_PI * 10.0, TWO_PI * f, 2.0)
+        assert_matches_reference(
+            deutsch_schedule(drive), REF_PARAMS, decay_tau, "physical", 5e-12, 1e-13
+        )
+
+
+@pytest.mark.parametrize("cc", ["physical", "none"])
+@pytest.mark.parametrize("builder,params", GATES)
+def test_segment_hamiltonians_vanish_off_the_sectors(builder, params, cc):
+    schedule = builder(DRIVE)
+    index, valid = qcore.sectors(params.n_atoms, schedule_couplings(schedule))
+    block_of = np.empty(3**params.n_atoms, dtype=int)
+    block_of[index[valid]] = np.nonzero(valid)[0]
+    off_block = block_of[:, None] != block_of[None, :]
+    for seg in schedule.segments:
+        h = segment_hamiltonian(seg, params, cc_interaction=cc)
+        assert np.count_nonzero(h[off_block]) == 0

@@ -79,6 +79,20 @@ def test_vdw_shift_rejects_nonpositive_distance():
         vdw_shift(-633.0, -1.0)
 
 
+@pytest.mark.parametrize(
+    "c6,d",
+    [
+        (-633.0, 1e60),  # d**6 overflows
+        (-633.0, 1e-60),  # d**6 underflows to 0
+        (-1e-10, 1e-52),  # d**6 is subnormal; the shift would be finite but inexact
+        (-1e300, 1e-10),  # the shift overflows
+    ],
+)
+def test_vdw_shift_rejects_results_outside_the_float_range(c6, d):
+    with pytest.raises(ValueError):
+        vdw_shift(c6, d)
+
+
 def test_vdw_shift_monotone_in_distance():
     distances = np.linspace(3.0, 15.0, 40)
     shifts = [abs(vdw_shift(-633.0, d)) for d in distances]

@@ -1,5 +1,6 @@
 """Tests for basis indexing and the dense linear-algebra kernel."""
 
+import itertools
 import math
 
 import numpy as np
@@ -75,8 +76,74 @@ def test_register_tables_are_cached_and_read_only(table):
         table(3)[0] = 5
 
 
+DEUTSCH_COUPLINGS = frozenset({(0, "g0"), (1, "g0"), (2, "g0"), (2, "g1")})
+CNOT_COUPLINGS = frozenset({(0, "g0"), (1, "g0"), (1, "g1")})
+
+
+@pytest.mark.parametrize(
+    "n_atoms,couplings,sizes",
+    [(3, DEUTSCH_COUPLINGS, [12, 6, 6, 3]), (2, CNOT_COUPLINGS, [6, 3]),
+     (2, frozenset(), [1] * 9)],
+)
+def test_sectors_split_by_controls_in_g1(n_atoms, couplings, sizes):
+    index, valid = qcore.sectors(n_atoms, couplings)
+    assert valid.sum(axis=1).tolist() == sizes
+    members = index[valid]
+    assert sorted(members) == list(range(3**n_atoms))
+    for row, mask in zip(index, valid):
+        assert np.all(np.diff(row[mask]) > 0)
+        assert np.all(row[~mask] == 0)
+    assert qcore.sectors(n_atoms, couplings)[0] is index
+    with pytest.raises(ValueError):
+        index[0, 0] = 5
+
+
+@pytest.mark.parametrize("n_atoms", [2, 3])
+def test_sectors_are_the_connected_components_of_any_coupling_set(n_atoms):
+    # reference: transitive closure of the coupling graph by repeated squaring
+    dim = 3**n_atoms
+    every = [(atom, lower) for atom in range(n_atoms) for lower in ("g0", "g1")]
+    for pick in itertools.product((False, True), repeat=len(every)):
+        couplings = frozenset(c for c, keep in zip(every, pick) if keep)
+        reach = np.eye(dim, dtype=bool)
+        for atom, lower in couplings:
+            rows, cols = qcore.coupling_indices(n_atoms)[atom, qcore.LEVEL_CODE[lower]]
+            reach[rows, cols] = reach[cols, rows] = True
+        for _ in range(dim.bit_length()):
+            reach = (reach.astype(int) @ reach.astype(int)) > 0
+        index, valid = qcore.sectors(n_atoms, couplings)
+        same_block = np.zeros((dim, dim), dtype=bool)
+        for row, mask in zip(index, valid):
+            same_block[np.ix_(row[mask], row[mask])] = True
+        assert np.array_equal(same_block, reach), sorted(couplings)
+
+
+def test_matrix_exponential_requires_the_hermitian_keyword():
+    with pytest.raises(TypeError):
+        qcore.matrix_exponential(np.eye(2), 1.0)
+
+
+@pytest.mark.parametrize("hermitian", [True, False])
+def test_matrix_exponential_stack_matches_one_call_per_matrix(hermitian):
+    # scales from 0 to 40 and durations up to 75 us give each matrix its own
+    # number of squarings
+    rng = np.random.default_rng(7)
+    raw = rng.normal(size=(3, 4, 6, 6)) + 1j * rng.normal(size=(3, 4, 6, 6))
+    h = (raw + raw.conj().swapaxes(-1, -2)) / 2.0
+    if not hermitian:
+        h = h - 0.5j * np.eye(6) * rng.uniform(0.0, 0.2, size=(3, 4, 6, 1))
+    h *= np.array([0.0, 1e-3, 0.7, 40.0])[:, None, None]
+    durations = np.array([[0.05], [1.3], [75.0]])
+    stack = qcore.matrix_exponential(h, durations, hermitian=hermitian)
+    assert stack.shape == h.shape
+    for i in range(3):
+        for j in range(4):
+            one = qcore.matrix_exponential(h[i, j], durations[i, 0], hermitian=hermitian)
+            assert np.abs(stack[i, j] - one).max() < 1e-13
+
+
 def test_matrix_exponential_zero_hamiltonian():
-    u = qcore.matrix_exponential(np.zeros((5, 5)), 3.7)
+    u = qcore.matrix_exponential(np.zeros((5, 5)), 3.7, hermitian=True)
     np.testing.assert_allclose(u, np.eye(5), atol=1e-14)
 
 
@@ -85,9 +152,11 @@ def test_matrix_exponential_pi_pulse():
     omega = 2.0 * math.pi * 10.0
     h = np.zeros((3, 3), dtype=complex)
     h[0, 2] = h[2, 0] = omega / 2.0
-    u = qcore.matrix_exponential(h, math.pi / omega)
-    out = u @ qcore.ket(("g0",))
-    np.testing.assert_allclose(out, -1j * qcore.ket(("r",)), atol=1e-12)
+    u = qcore.matrix_exponential(h, math.pi / omega, hermitian=True)
+    g0, r = qcore.basis_index(("g0",)), qcore.basis_index(("r",))
+    expected = np.zeros(3, dtype=complex)
+    expected[r] = -1j
+    np.testing.assert_allclose(u[:, g0], expected, atol=1e-12)
 
 
 @pytest.mark.parametrize("t", [0.0, 0.013, 0.05, 0.21])
@@ -96,7 +165,7 @@ def test_matrix_exponential_matches_rabi_closed_form(t):
     h = np.zeros((3, 3), dtype=complex)
     h[0, 2] = h[2, 0] = omega / 2.0
     np.testing.assert_allclose(
-        qcore.matrix_exponential(h, t), two_level_rabi(omega, t), atol=1e-12
+        qcore.matrix_exponential(h, t, hermitian=True), two_level_rabi(omega, t), atol=1e-12
     )
 
 
@@ -104,7 +173,7 @@ def test_matrix_exponential_unitarity_random_hermitian():
     rng = np.random.default_rng(42)
     raw = rng.normal(size=(27, 27)) + 1j * rng.normal(size=(27, 27))
     h = (raw + raw.conj().T) / 2.0
-    u = qcore.matrix_exponential(h, 1.0)
+    u = qcore.matrix_exponential(h, 1.0, hermitian=True)
     assert qcore.unitarity_defect(u) < 1e-10
 
 
@@ -113,8 +182,10 @@ def test_matrix_exponential_group_property():
     raw = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
     h = (raw + raw.conj().T) / 2.0
     t1, t2 = 0.4, 1.3
-    u12 = qcore.matrix_exponential(h, t1 + t2)
-    product = qcore.matrix_exponential(h, t2) @ qcore.matrix_exponential(h, t1)
+    u12 = qcore.matrix_exponential(h, t1 + t2, hermitian=True)
+    product = qcore.matrix_exponential(h, t2, hermitian=True) @ qcore.matrix_exponential(
+        h, t1, hermitian=True
+    )
     assert np.abs(u12 - product).max() < 1e-10
 
 
@@ -122,14 +193,14 @@ def test_matrix_exponential_inverse_property():
     rng = np.random.default_rng(11)
     raw = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
     h = (raw + raw.conj().T) / 2.0
-    forward = qcore.matrix_exponential(h, 0.9)
-    backward = qcore.matrix_exponential(-h, 0.9)  # exp(+iHt)
+    forward = qcore.matrix_exponential(h, 0.9, hermitian=True)
+    backward = qcore.matrix_exponential(-h, 0.9, hermitian=True)  # exp(+iHt)
     assert np.abs(forward @ backward - np.eye(6)).max() < 1e-10
 
 
 def test_matrix_exponential_non_hermitian_contracts():
     h = np.diag([0.0, 0.0, -0.5j])  # decay on the top level
-    u = qcore.matrix_exponential(h, 2.0)
+    u = qcore.matrix_exponential(h, 2.0, hermitian=False)
     norms = np.linalg.norm(u, axis=0)
     assert np.all(norms <= 1.0 + 1e-12)
     assert norms[2] < 1.0
@@ -161,11 +232,15 @@ def test_pade_expm_matches_scipy_on_decaying_hamiltonians(dim):
 
 def test_matrix_exponential_rejects_bad_input():
     with pytest.raises(ValueError):
-        qcore.matrix_exponential(np.eye(3), -0.1)
+        qcore.matrix_exponential(np.eye(3), -0.1, hermitian=True)
     with pytest.raises(FloatingPointError):
-        qcore.matrix_exponential(np.array([[np.nan, 0], [0, 1]]), 1.0)
+        qcore.matrix_exponential(np.array([[np.nan, 0], [0, 1]]), 1.0, hermitian=True)
     with pytest.raises(ValueError):
-        qcore.matrix_exponential(np.zeros((2, 3)), 1.0)
+        qcore.matrix_exponential(np.zeros((2, 3)), 1.0, hermitian=True)
+    with pytest.raises(ValueError):
+        qcore.matrix_exponential(np.zeros((2, 3, 3)), [1.0, np.inf], hermitian=True)
+    with pytest.raises(ValueError):
+        qcore.matrix_exponential(np.zeros((2, 3, 3)), [1.0, 2.0, 3.0], hermitian=False)
 
 
 def test_hermitian_checks():
