@@ -4,7 +4,9 @@ sweeps, and phase-matching reports.
 All frequencies in configs, flags, and outputs are f = omega/2pi in MHz
 (internally everything is angular, rad/us).  Commands read an optional JSON
 config plus flag overrides; the fully resolved config is echoed in every JSON
-output, so runs are reproducible from their artifacts alone.
+output, so runs are reproducible from their artifacts alone.  ``FIELDS`` is
+the one list of config keys: each entry gives a key's default, the values it
+accepts, its flag and its help text.
 
 Examples:
     blockadesim synth --ratio 2
@@ -25,12 +27,11 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, dataclass, replace
 
 from . import __version__
 from .budget import (
     TAU_BY_TEMPERATURE,
-    ErrorBudget,
     argmin_total,
     error_budget,
     gate_time,
@@ -54,53 +55,90 @@ TWO_PI = 2.0 * math.pi
 
 GATES = ("deutsch", "toffoli", "cnot")
 
-DEFAULT_CONFIG = {
-    "gate": "deutsch",
-    "theta_rad": None,
-    "ratio_omega2_over_omega1": None,
-    "omega0_MHz": 10.0,
-    "omega_bar_MHz": 0.54,
-    "omega3_MHz": None,
-    "c6_GHz_um6": -633.0,
-    "L_um": 6.0,
-    "temperature": "4.2K",
-    "tau_us": None,
-    "options": {
-        "decay": "none",
-        "cc_interaction": "physical",
-        "frame_correction": True,
-        "v_scale": 1.0,
-    },
-    "sweep": {
-        "start_MHz": 0.02,
-        "stop_MHz": 2.3,
-        "step_MHz": 0.02,
-    },
-}
 
-_FLAG_TO_KEY = {
-    "gate": "gate",
-    "theta_rad": "theta_rad",
-    "ratio": "ratio_omega2_over_omega1",
-    "omega0_mhz": "omega0_MHz",
-    "omega_bar_mhz": "omega_bar_MHz",
-    "omega3_mhz": "omega3_MHz",
-    "c6": "c6_GHz_um6",
-    "spacing_um": "L_um",
-    "temperature": "temperature",
-    "tau_us": "tau_us",
-}
+@dataclass(frozen=True)
+class Field:
+    """One config key: its default, the values it accepts and its flag.
 
-_FLAG_TO_OPTION = {
-    "decay": "decay",
-    "cc_interaction": "cc_interaction",
-    "frame_correction": "frame_correction",
-    "v_scale": "v_scale",
+    ``kind`` is "positive", "nonzero" or "finite" for a finite number,
+    "choice" for one of ``choices``, or "bool" (flag values on/off).
+    """
+
+    key: str  # dotted path into the config, e.g. "options.decay"
+    default: object
+    kind: str
+    flag: str
+    help: str
+    choices: tuple = ()
+    nullable: bool = False
+    sweep_only: bool = False
+
+    @property
+    def dest(self) -> str:
+        """The argparse attribute that holds the flag's value."""
+        return self.flag[2:].replace("-", "_")
+
+
+# The one list of config keys, in flag order.  Defaults, the file merge,
+# the flags, the checks and the echoed config all come from it.
+FIELDS = (
+    Field("gate", "deutsch", "choice", "--gate", "gate kind", choices=GATES),
+    Field("theta_rad", None, "finite", "--theta-rad",
+          "deutsch angle in radians (alternative to --ratio)", nullable=True),
+    Field("ratio_omega2_over_omega1", None, "positive", "--ratio",
+          "omega2/omega1 ratio (alternative to --theta-rad)", nullable=True),
+    Field("omega0_MHz", 10.0, "positive", "--omega0-mhz",
+          "control Rabi frequency /2pi, MHz"),
+    Field("omega_bar_MHz", 0.54, "positive", "--omega-bar-mhz",
+          "bright-state Rabi frequency /2pi, MHz"),
+    Field("omega3_MHz", None, "positive", "--omega3-mhz",
+          "swap-pulse Rabi frequency /2pi, MHz (default omega_bar/sqrt(2))", nullable=True),
+    Field("c6_GHz_um6", -633.0, "nonzero", "--c6", "C6/2pi in GHz um^6 (signed)"),
+    Field("L_um", 6.0, "positive", "--spacing-um", "lattice spacing L in um"),
+    Field("temperature", "4.2K", "choice", "--temperature", "picks the Rydberg lifetime",
+          choices=tuple(sorted(TAU_BY_TEMPERATURE))),
+    Field("tau_us", None, "positive", "--tau-us",
+          "explicit Rydberg lifetime in us (overrides temperature)", nullable=True),
+    Field("options.v_scale", 1.0, "positive", "--v-scale",
+          "multiply the interaction strength (blockade-limit studies)"),
+    Field("options.decay", "none", "choice", "--decay", "effective Rydberg decay on/off",
+          choices=("none", "effective")),
+    Field("options.cc_interaction", "physical", "choice", "--cc-interaction",
+          "control-control residue shift", choices=("physical", "none")),
+    Field("options.frame_correction", True, "bool", "--frame-correction",
+          "remove the predicted residue phase before comparison"),
+    Field("sweep.step_MHz", 0.02, "finite", "--grid-step",
+          "omega_bar grid step in MHz (default 0.02)", sweep_only=True),
+    Field("sweep.start_MHz", 0.02, "finite", "--sweep-start",
+          "first omega_bar/2pi grid value in MHz", sweep_only=True),
+    Field("sweep.stop_MHz", 2.3, "finite", "--sweep-stop",
+          "last omega_bar/2pi grid value in MHz", sweep_only=True),
+)
+
+# kind -> (what the error message asks for, test on a finite number)
+_NUMBER_KINDS = {
+    "positive": ("a positive number", lambda v: v > 0),
+    "nonzero": ("a finite nonzero number", lambda v: v != 0),
+    "finite": ("a number", lambda v: True),
 }
 
 
 class ConfigError(ValueError):
     """Invalid or inconsistent run configuration."""
+
+
+def _slot(cfg: dict, key: str) -> tuple[dict, str]:
+    """The dict that holds a dotted key, and the key's last part."""
+    section, _, name = key.rpartition(".")
+    return (cfg[section] if section else cfg), name
+
+
+def _default_config() -> dict:
+    cfg: dict = {}
+    for field in FIELDS:
+        section, _, name = field.key.rpartition(".")
+        (cfg.setdefault(section, {}) if section else cfg)[name] = field.default
+    return cfg
 
 
 def _load_config_file(path: str) -> dict:
@@ -114,54 +152,38 @@ def _load_config_file(path: str) -> dict:
     return cfg
 
 
-def _merge_section(base: dict, update: dict, section: str) -> None:
-    for key, value in update.items():
-        if key not in base:
-            raise ConfigError(f"unknown {section} key {key!r}")
-        base[key] = value
-
-
-def resolve_config(args: argparse.Namespace) -> tuple[dict, set[str]]:
-    """Defaults <- config file <- flags; returns the config and the set of
-    top-level keys the user supplied (needed for the theta/ratio rule)."""
-    cfg = json.loads(json.dumps(DEFAULT_CONFIG))
-    supplied: set[str] = set()
-
-    file_cfg = _load_config_file(args.config) if getattr(args, "config", None) else {}
+def _merge_file(cfg: dict, file_cfg: dict) -> None:
     for key, value in file_cfg.items():
-        if key == "options":
+        section = cfg.get(key)
+        if isinstance(section, dict):
             if not isinstance(value, dict):
-                raise ConfigError("config 'options' must be an object")
-            _merge_section(cfg["options"], value, "options")
-        elif key == "sweep":
-            if not isinstance(value, dict):
-                raise ConfigError("config 'sweep' must be an object")
-            _merge_section(cfg["sweep"], value, "sweep")
+                raise ConfigError(f"config {key!r} must be an object")
+            for name, item in value.items():
+                if name not in section:
+                    raise ConfigError(f"unknown config key {f'{key}.{name}'!r}")
+                section[name] = item
         elif key in cfg:
             cfg[key] = value
-            if value is not None:
-                supplied.add(key)
         else:
             raise ConfigError(f"unknown config key {key!r}")
 
-    for flag, key in _FLAG_TO_KEY.items():
-        value = getattr(args, flag, None)
-        if value is not None:
-            cfg[key] = value
-            supplied.add(key)
-    for flag, key in _FLAG_TO_OPTION.items():
-        value = getattr(args, flag, None)
-        if value is not None:
-            cfg["options"][key] = value
-    if getattr(args, "grid_step", None) is not None:
-        cfg["sweep"]["step_MHz"] = args.grid_step
-    if getattr(args, "sweep_start", None) is not None:
-        cfg["sweep"]["start_MHz"] = args.sweep_start
-    if getattr(args, "sweep_stop", None) is not None:
-        cfg["sweep"]["stop_MHz"] = args.sweep_stop
 
-    _validate_config(cfg, supplied)
-    return cfg, supplied
+def resolve_config(args: argparse.Namespace) -> dict:
+    """Defaults <- config file <- flags, each value checked against its
+    field, then the theta/ratio rule."""
+    cfg = _default_config()
+    if args.config:
+        _merge_file(cfg, _load_config_file(args.config))
+    for field in FIELDS:
+        value = getattr(args, field.dest, None)
+        if value is not None:
+            node, name = _slot(cfg, field.key)
+            node[name] = value == "on" if field.kind == "bool" else value
+    for field in FIELDS:
+        node, name = _slot(cfg, field.key)
+        _check(field, node[name])
+    _resolve_theta_ratio(cfg)
+    return cfg
 
 
 def _is_finite_number(value) -> bool:
@@ -175,55 +197,35 @@ def _is_finite_number(value) -> bool:
         return False
 
 
-def _validate_config(cfg: dict, supplied: set[str]) -> None:
-    if cfg["gate"] not in GATES:
-        raise ConfigError(f"gate must be one of {GATES}, got {cfg['gate']!r}")
-    for key in ("omega0_MHz", "omega_bar_MHz", "L_um"):
-        if not _is_finite_number(cfg[key]) or not cfg[key] > 0:
-            raise ConfigError(f"{key} must be a positive number, got {cfg[key]!r}")
-    for key in ("omega3_MHz", "tau_us"):
-        if cfg[key] is not None and not (_is_finite_number(cfg[key]) and cfg[key] > 0):
-            raise ConfigError(f"{key} must be a positive number or null, got {cfg[key]!r}")
-    if not _is_finite_number(cfg["c6_GHz_um6"]) or cfg["c6_GHz_um6"] == 0:
-        raise ConfigError(
-            f"c6_GHz_um6 must be a finite nonzero number, got {cfg['c6_GHz_um6']!r}"
-        )
-    if cfg["tau_us"] is None and cfg["temperature"] not in TAU_BY_TEMPERATURE:
-        raise ConfigError(
-            f"temperature must be one of {sorted(TAU_BY_TEMPERATURE)} "
-            f"(or set tau_us), got {cfg['temperature']!r}"
-        )
-    opts = cfg["options"]
-    if opts["decay"] not in ("none", "effective"):
-        raise ConfigError(f"options.decay must be 'none' or 'effective', got {opts['decay']!r}")
-    if opts["cc_interaction"] not in ("physical", "none"):
-        raise ConfigError(
-            f"options.cc_interaction must be 'physical' or 'none', got {opts['cc_interaction']!r}"
-        )
-    if not isinstance(opts["frame_correction"], bool):
-        raise ConfigError("options.frame_correction must be true or false")
-    if not _is_finite_number(opts["v_scale"]) or not opts["v_scale"] > 0:
-        raise ConfigError(f"options.v_scale must be positive, got {opts['v_scale']!r}")
-    for key, value in cfg["sweep"].items():
-        if not _is_finite_number(value):
-            raise ConfigError(f"sweep.{key} must be a number, got {value!r}")
+def _check(field: Field, value) -> None:
+    if value is None and field.nullable:
+        return
+    if field.kind == "bool":
+        ok, wanted = isinstance(value, bool), "true or false"
+    elif field.kind == "choice":
+        ok, wanted = value in field.choices, f"one of {field.choices}"
+    else:
+        wanted, test = _NUMBER_KINDS[field.kind]
+        ok = _is_finite_number(value) and test(value)
+    if not ok:
+        wanted += " or null" if field.nullable else ""
+        raise ConfigError(f"{field.key} must be {wanted}, got {value!r}")
 
-    has_theta = "theta_rad" in supplied
-    has_ratio = "ratio_omega2_over_omega1" in supplied
-    for key, given in (("theta_rad", has_theta), ("ratio_omega2_over_omega1", has_ratio)):
-        if given and not _is_finite_number(cfg[key]):
-            raise ConfigError(f"{key} must be a number, got {cfg[key]!r}")
-    if cfg["gate"] == "deutsch":
-        if has_theta and has_ratio:
-            raise ConfigError("supply exactly one of theta_rad / ratio for the deutsch gate")
-        if not has_theta and not has_ratio:
-            cfg["ratio_omega2_over_omega1"] = 2.0
-        if has_theta and not 0.0 <= cfg["theta_rad"] <= math.pi:
-            raise ConfigError(f"theta_rad must lie in [0, pi], got {cfg['theta_rad']}")
-    elif has_theta or has_ratio:
-        raise ConfigError("theta_rad / ratio apply to the deutsch gate only")
-    if has_ratio and not cfg["ratio_omega2_over_omega1"] > 0:
-        raise ConfigError(f"ratio must be positive, got {cfg['ratio_omega2_over_omega1']!r}")
+
+def _resolve_theta_ratio(cfg: dict) -> None:
+    """Exactly one of theta and ratio for the deutsch gate (ratio 2 when
+    neither is given), neither for the others."""
+    theta, ratio = cfg["theta_rad"], cfg["ratio_omega2_over_omega1"]
+    if cfg["gate"] != "deutsch":
+        if theta is not None or ratio is not None:
+            raise ConfigError("theta_rad / ratio apply to the deutsch gate only")
+    elif theta is not None and ratio is not None:
+        raise ConfigError("supply exactly one of theta_rad / ratio for the deutsch gate")
+    elif theta is not None:
+        if not 0.0 <= theta <= math.pi:
+            raise ConfigError(f"theta_rad must lie in [0, pi], got {theta}")
+    elif ratio is None:
+        cfg["ratio_omega2_over_omega1"] = 2.0
 
 
 def resolve_tau(cfg: dict) -> float:
@@ -236,7 +238,7 @@ def build_drive(cfg: dict) -> DriveParams:
     omega0 = TWO_PI * cfg["omega0_MHz"]
     omega_bar = TWO_PI * cfg["omega_bar_MHz"]
     omega3 = TWO_PI * cfg["omega3_MHz"] if cfg["omega3_MHz"] is not None else None
-    if cfg["gate"] == "deutsch" and cfg["theta_rad"] is not None:
+    if cfg["theta_rad"] is not None:  # deutsch only, see _resolve_theta_ratio
         return DriveParams.from_theta(omega0, omega_bar, cfg["theta_rad"], omega3)
     ratio = cfg["ratio_omega2_over_omega1"]
     if ratio is None:
@@ -257,13 +259,18 @@ def build_params(cfg: dict, n_atoms: int) -> PhysicalParams:
     return params
 
 
-def build_schedule(cfg: dict, drive: DriveParams):
-    builders = {
-        "deutsch": deutsch_schedule,
-        "toffoli": toffoli_schedule,
-        "cnot": cnot_schedule,
-    }
-    return builders[cfg["gate"]](drive)
+def gate_functions(gate: str):
+    """The schedule builder and the ideal gate (a function of the drive) of
+    a gate kind.
+
+    The table is built on each call from this module's names, so that a
+    builder wrapped here after import is the one returned.
+    """
+    return {
+        "deutsch": (deutsch_schedule, lambda drive: deutsch_ideal(drive.theta)),
+        "toffoli": (toffoli_schedule, lambda drive: toffoli_ideal()),
+        "cnot": (cnot_schedule, lambda drive: cnot_ideal()),
+    }[gate]
 
 
 def build_options(cfg: dict) -> SimulationOptions:
@@ -291,32 +298,26 @@ def derived_block(cfg: dict, drive: DriveParams, params: PhysicalParams) -> dict
     }
 
 
-def _budget_dict(b: ErrorBudget) -> dict:
-    return {
-        "gate_time_us": b.gate_time_us,
-        "control_dwell_us": b.control_dwell_us,
-        "mean_rydberg_time_us": b.mean_rydberg_time_us,
-        "residue_phase_rad": b.residue_phase_rad,
-        "decay": b.decay,
-        "blockade": b.blockade,
-        "two_photon": b.two_photon,
-        "total": b.total,
-    }
+def _json_text(payload: dict) -> str:
+    try:
+        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:  # NaN and infinity are not JSON
+        raise ValueError("a result is not finite: an input is outside the range "
+                         "the model can evaluate") from None
 
 
-def _emit(payload: dict, out_path: str | None, summary: str) -> None:
-    """Primary artifact to --out (summary to stdout) or stdout (summary to
-    stderr)."""
-    text = json.dumps(payload, indent=2, sort_keys=True)
+def _emit(artifact: dict | str, out_path: str | None, summary: str) -> None:
+    """Primary artifact (a JSON payload, or prebuilt text) to --out with the
+    summary to stdout, or to stdout with the summary to stderr."""
+    if isinstance(artifact, dict):
+        artifact = _json_text(artifact) + "\n"
     if out_path:
         with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text + "\n")
-        if summary:
-            print(summary)
+            fh.write(artifact)
+        print(summary)
     else:
-        if summary:
-            print(summary, file=sys.stderr)
-        print(text)
+        print(summary, file=sys.stderr)
+        sys.stdout.write(artifact)
 
 
 def _format_transition(tr) -> str:
@@ -328,10 +329,8 @@ def _format_transition(tr) -> str:
     )
 
 
-def cmd_synth(args) -> int:
-    cfg, _ = resolve_config(args)
-    drive = build_drive(cfg)
-    schedule = build_schedule(cfg, drive)
+def cmd_synth(cfg: dict, drive: DriveParams, out: str | None) -> None:
+    schedule = gate_functions(cfg["gate"])[0](drive)
     params = build_params(cfg, schedule.n_atoms)
     derived = derived_block(cfg, drive, params)
     v = params.blockade
@@ -385,24 +384,17 @@ def cmd_synth(args) -> int:
             for i, seg in enumerate(schedule.segments, start=1)
         ],
     }
-    _emit(payload, args.out, listing)
-    return 0
+    _emit(payload, out, listing)
 
 
-def cmd_simulate(args) -> int:
-    cfg, _ = resolve_config(args)
-    drive = build_drive(cfg)
-    schedule = build_schedule(cfg, drive)
+def cmd_simulate(cfg: dict, drive: DriveParams, out: str | None) -> None:
+    build_schedule, ideal_gate = gate_functions(cfg["gate"])
+    schedule = build_schedule(drive)
     params = build_params(cfg, schedule.n_atoms)
     options = build_options(cfg)
     result = evolve(schedule, params, options)
 
-    if cfg["gate"] == "deutsch":
-        ideal = deutsch_ideal(drive.theta)
-    elif cfg["gate"] == "toffoli":
-        ideal = toffoli_ideal()
-    else:
-        ideal = cnot_ideal()
+    ideal = ideal_gate(drive)
     fid_avg = gate_fidelity(result.computational_block, ideal)
     fid_trace = gate_fidelity(result.computational_block, ideal, mode="trace")
 
@@ -424,13 +416,10 @@ def cmd_simulate(args) -> int:
         f"{cfg['gate']}: state-average fidelity {fid_avg:.6f}, "
         f"trace fidelity {fid_trace:.6f}"
     )
-    _emit(payload, args.out, summary)
-    return 0
+    _emit(payload, out, summary)
 
 
-def cmd_budget(args) -> int:
-    cfg, _ = resolve_config(args)
-    drive = build_drive(cfg)
+def cmd_budget(cfg: dict, drive: DriveParams, out: str | None) -> None:
     params = build_params(cfg, 3)
     tau = resolve_tau(cfg)
     b = error_budget(drive, params, tau)
@@ -439,20 +428,17 @@ def cmd_budget(args) -> int:
         "derived": derived_block(cfg, drive, params),
         "temperature": cfg["temperature"] if cfg["tau_us"] is None else None,
         "tau_us": tau,
-        "budget": _budget_dict(b),
+        "budget": {**asdict(b), "total": b.total},
     }
     summary = (
         f"omega_bar/2pi = {cfg['omega_bar_MHz']} MHz, tau = {tau} us: "
         f"total error {b.total:.6e} "
         f"(decay {b.decay:.3e}, blockade {b.blockade:.3e}, two-photon {b.two_photon:.3e})"
     )
-    _emit(payload, args.out, summary)
-    return 0
+    _emit(payload, out, summary)
 
 
-def cmd_phase(args) -> int:
-    cfg, _ = resolve_config(args)
-    drive = build_drive(cfg)
+def cmd_phase(cfg: dict, drive: DriveParams, out: str | None) -> None:
     params = build_params(cfg, 3)
     v = params.blockade
     phi = phase_phi(drive, v)
@@ -480,8 +466,7 @@ def cmd_phase(args) -> int:
         "matched_solutions": solutions,
     }
     summary = f"phi = {phi:.6f} rad ({phi / math.pi:.4f} pi) at omega_bar/2pi = {cfg['omega_bar_MHz']} MHz"
-    _emit(payload, args.out, summary)
-    return 0
+    _emit(payload, out, summary)
 
 
 CSV_COLUMNS = (
@@ -516,9 +501,7 @@ def _csv_text(points) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_sweep(args) -> int:
-    cfg, _ = resolve_config(args)
-    drive = build_drive(cfg)
+def cmd_sweep(cfg: dict, drive: DriveParams, out: str | None) -> None:
     params = build_params(cfg, 3)
     ratio = drive.omega2 / drive.omega1
     grid = cfg["sweep"]
@@ -547,96 +530,60 @@ def cmd_sweep(args) -> int:
                 "total": min_warm.budget_300k.total,
             },
         },
-        "csv_path": args.out,
+        "csv_path": out,
     }
-    summary_text = json.dumps(summary_payload, indent=2, sort_keys=True)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(csv_text)
-        print(summary_text)
-    else:
-        print(summary_text, file=sys.stderr)
-        sys.stdout.write(csv_text)
-    return 0
+    _emit(csv_text, out, _json_text(summary_payload))
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON config file")
-    parser.add_argument("--out", help="write the primary artifact to this path")
-    parser.add_argument("--gate", choices=GATES, help="gate kind")
-    parser.add_argument("--theta-rad", type=float, dest="theta_rad",
-                        help="deutsch angle in radians (alternative to --ratio)")
-    parser.add_argument("--ratio", type=float,
-                        help="omega2/omega1 ratio (alternative to --theta-rad)")
-    parser.add_argument("--omega0-mhz", type=float, dest="omega0_mhz",
-                        help="control Rabi frequency /2pi, MHz")
-    parser.add_argument("--omega-bar-mhz", type=float, dest="omega_bar_mhz",
-                        help="bright-state Rabi frequency /2pi, MHz")
-    parser.add_argument("--omega3-mhz", type=float, dest="omega3_mhz",
-                        help="swap-pulse Rabi frequency /2pi, MHz (default omega_bar/sqrt(2))")
-    parser.add_argument("--c6", type=float, help="C6/2pi in GHz um^6 (signed)")
-    parser.add_argument("--spacing-um", type=float, dest="spacing_um",
-                        help="lattice spacing L in um")
-    parser.add_argument("--temperature", choices=sorted(TAU_BY_TEMPERATURE),
-                        help="picks the Rydberg lifetime")
-    parser.add_argument("--tau-us", type=float, dest="tau_us",
-                        help="explicit Rydberg lifetime in us (overrides temperature)")
-    parser.add_argument("--v-scale", type=float, dest="v_scale",
-                        help="multiply the interaction strength (blockade-limit studies)")
-    parser.add_argument("--decay", choices=("none", "effective"),
-                        help="effective Rydberg decay on/off")
-    parser.add_argument("--cc-interaction", choices=("physical", "none"),
-                        dest="cc_interaction", help="control-control residue shift")
-    parser.add_argument("--frame-correction", choices=("on", "off"),
-                        dest="frame_correction_raw",
-                        help="remove the predicted residue phase before comparison")
-
-
-def main(argv=None) -> int:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="blockadesim",
         description="Rydberg-blockade Deutsch/Toffoli/CNOT gate simulator and error budgets",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    for command, run, help_text in (
+        ("synth", cmd_synth, "print/export the pulse schedule"),
+        ("simulate", cmd_simulate, "propagate the schedule and report fidelities"),
+        ("sweep", cmd_sweep, "analytic error-budget sweep over omega_bar (CSV)"),
+        ("budget", cmd_budget, "analytic error budget at one operating point"),
+        ("phase", cmd_phase, "residue phase and phase-matched omega_bar values"),
+    ):
+        p = sub.add_parser(command, help=help_text)
+        p.set_defaults(run=run)
+        p.add_argument("--config", help="JSON config file")
+        p.add_argument("--out", help="write the primary artifact to this path")
+        for field in FIELDS:
+            if field.sweep_only and command != "sweep":
+                continue
+            if field.kind == "bool":
+                accepts = {"choices": ("on", "off")}
+            elif field.kind == "choice":
+                accepts = {"choices": field.choices}
+            else:
+                accepts = {"type": float}
+            p.add_argument(field.flag, dest=field.dest, help=field.help, **accepts)
+    return parser
 
-    p_synth = sub.add_parser("synth", help="print/export the pulse schedule")
-    p_sim = sub.add_parser("simulate", help="propagate the schedule and report fidelities")
-    p_sweep = sub.add_parser("sweep", help="analytic error-budget sweep over omega_bar (CSV)")
-    p_budget = sub.add_parser("budget", help="analytic error budget at one operating point")
-    p_phase = sub.add_parser("phase", help="residue phase and phase-matched omega_bar values")
 
-    for p in (p_synth, p_sim, p_sweep, p_budget, p_phase):
-        _add_common_flags(p)
-    p_sweep.add_argument("--grid-step", type=float, dest="grid_step",
-                         help="omega_bar grid step in MHz (default 0.02)")
-    p_sweep.add_argument("--sweep-start", type=float, dest="sweep_start",
-                         help="first omega_bar/2pi grid value in MHz")
-    p_sweep.add_argument("--sweep-stop", type=float, dest="sweep_stop",
-                         help="last omega_bar/2pi grid value in MHz")
-
-    args = parser.parse_args(argv)
-    if getattr(args, "frame_correction_raw", None) is not None:
-        args.frame_correction = args.frame_correction_raw == "on"
-    else:
-        args.frame_correction = None
-
-    commands = {
-        "synth": cmd_synth,
-        "simulate": cmd_simulate,
-        "sweep": cmd_sweep,
-        "budget": cmd_budget,
-        "phase": cmd_phase,
-    }
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
     try:
-        status = commands[args.command](args)
+        cfg = resolve_config(args)
+        args.run(cfg, build_drive(cfg), args.out)
         # A piped stdout is block-buffered, so a short report sits in the
         # buffer until it is flushed; flush here, where a closed reader's
         # BrokenPipeError is caught, not at interpreter exit.
         sys.stdout.flush()
-        return status
-    except (ConfigError, ValueError, FloatingPointError) as exc:
+        return 0
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except ArithmeticError as exc:
+        # A value that passes the config checks can still overflow or
+        # divide by zero in the physics (budget --v-scale 1e200).
+        print(f"error: an input is outside the range the model can evaluate "
+              f"({type(exc).__name__}: {exc})", file=sys.stderr)
         return 1
     except BrokenPipeError:
         # The reader closed stdout early.  Send what is still buffered to

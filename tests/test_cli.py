@@ -10,9 +10,11 @@ import textwrap
 import pytest
 
 from blockadesim.budget import SWEEP_MAX_POINTS
-from blockadesim.cli import CSV_COLUMNS, main
+from blockadesim import cli
+from blockadesim.cli import CSV_COLUMNS, FIELDS, build_parser, main
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
 
 
 def run_json(tmp_path, name, argv):
@@ -345,6 +347,36 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert "unknown config key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "cfg",
+    [{"options": {"decay_typo": "none"}}, {"sweep": {"step": 0.1}}, {"options.decay": "effective"}],
+)
+def test_unknown_section_key_rejected(tmp_path, capsys, cfg):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["synth", "--config", str(cfg_path)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and "unknown config key" in lines[0]
+
+
+@pytest.mark.parametrize(
+    "cfg,message",
+    [
+        ({"omega_bar_MHz": 0}, "omega_bar_MHz must be a positive number, got 0"),
+        ({"options": {"v_scale": 0.0}}, "options.v_scale must be a positive number"),
+        ({"tau_us": -1}, "tau_us must be a positive number or null"),
+        ({"temperature": "77K"}, "temperature must be one of"),
+        ({"theta_rad": 3.5}, "theta_rad must lie in [0, pi]"),
+    ],
+)
+def test_rejection_names_the_key(tmp_path, capsys, cfg, message):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["synth", "--config", str(cfg_path)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and message in lines[0]
+
+
 def test_invalid_values_rejected(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"omega_bar_MHz": -1.0}))
@@ -374,6 +406,9 @@ def test_json_output_to_stdout_without_out(capsys):
         {"sweep": {"step_MHz": "0.02"}},
         {"sweep": {"start_MHz": None}},
         {"sweep": {"stop_MHz": True}},
+        {"temperature": ["4.2K"]},
+        {"temperature": {}},
+        {"tau_us": 5, "temperature": 7},
     ],
 )
 def test_mistyped_config_gives_one_error_line(tmp_path, capsys, cfg):
@@ -382,3 +417,105 @@ def test_mistyped_config_gives_one_error_line(tmp_path, capsys, cfg):
     assert main(["simulate", "--config", str(cfg_path)]) == 1
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv,cfg",
+    [
+        (["budget", "--v-scale", "1e200"], None),
+        (["budget", "--c6=-1e290"], None),
+        (["budget"], {"omega0_MHz": 1e300, "omega_bar_MHz": 1e-9}),
+        (["budget", "--omega0-mhz", "1e-200"], None),
+        (["sweep", "--omega0-mhz", "1e-200"], None),
+        # a residue phase that overflows to -inf is no JSON number
+        (["phase"], {"c6_GHz_um6": 1e-300, "L_um": 27.0}),
+    ],
+    ids=["v_scale", "c6", "omega_ratio", "budget_omega0", "sweep_omega0", "phase_inf"],
+)
+def test_arithmetic_failure_gives_one_error_line(tmp_path, capsys, argv, cfg):
+    if cfg is not None:
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        argv = argv + ["--config", str(cfg_path)]
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# the surface: flags and config keys
+# ---------------------------------------------------------------------------
+
+COMMON_OPTIONS = [
+    (("-h", "--help"), None, None),
+    (("--config",), None, None),
+    (("--out",), None, None),
+    (("--gate",), ("deutsch", "toffoli", "cnot"), None),
+    (("--theta-rad",), None, float),
+    (("--ratio",), None, float),
+    (("--omega0-mhz",), None, float),
+    (("--omega-bar-mhz",), None, float),
+    (("--omega3-mhz",), None, float),
+    (("--c6",), None, float),
+    (("--spacing-um",), None, float),
+    (("--temperature",), ("300K", "4.2K"), None),
+    (("--tau-us",), None, float),
+    (("--v-scale",), None, float),
+    (("--decay",), ("none", "effective"), None),
+    (("--cc-interaction",), ("physical", "none"), None),
+    (("--frame-correction",), ("on", "off"), None),
+]
+SWEEP_OPTIONS = [
+    (("--grid-step",), None, float),
+    (("--sweep-start",), None, float),
+    (("--sweep-stop",), None, float),
+]
+
+
+def test_each_subcommand_keeps_its_flags():
+    subparsers = next(
+        action for action in build_parser()._actions if action.choices
+    ).choices
+    assert list(subparsers) == ["synth", "simulate", "sweep", "budget", "phase"]
+    for name, parser in subparsers.items():
+        options = [
+            (tuple(a.option_strings), tuple(a.choices) if a.choices else None, a.type)
+            for a in parser._actions
+        ]
+        assert options == COMMON_OPTIONS + (SWEEP_OPTIONS if name == "sweep" else []), name
+
+
+def test_example_config_names_every_key_and_echoes_the_defaults(tmp_path):
+    path = os.path.join(ROOT, "configs", "example.json")
+    with open(path, encoding="utf-8") as fh:
+        example = json.load(fh)
+    keys = {
+        f"{key}.{name}" if isinstance(value, dict) else key
+        for key, value in example.items()
+        for name in (value if isinstance(value, dict) else [None])
+    }
+    assert keys == {field.key for field in FIELDS}
+    bare = run_json(tmp_path, "bare.json", ["synth"])
+    from_file = run_json(tmp_path, "file.json", ["synth", "--config", path])
+    assert from_file["config"] == bare["config"]
+
+
+def test_int_in_config_is_echoed_as_int(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"omega0_MHz": 10}))
+    payload = run_json(tmp_path, "budget.json", ["budget", "--config", str(cfg_path)])
+    assert payload["config"]["omega0_MHz"] == 10
+    assert type(payload["config"]["omega0_MHz"]) is int
+
+
+@pytest.mark.parametrize("gate", ["deutsch", "toffoli", "cnot"])
+def test_gate_builders_are_looked_up_at_call_time(tmp_path, monkeypatch, gate):
+    # the benchmark's tracer wraps the builders in the cli module's namespace
+    name = f"{gate}_schedule"
+    original = getattr(cli, name)
+    calls = []
+    monkeypatch.setattr(cli, name, lambda drive: calls.append(drive) or original(drive))
+    run_json(tmp_path, "sim.json", ["simulate", "--gate", gate])
+    assert len(calls) == 1
