@@ -128,14 +128,15 @@ def two_photon_error(
     t_swap = SQRT2 * math.pi / drive.omega3
     strong = 4.0 * v + (v / 32.0 if include_residue_shift else 0.0)
     product = drive.omega1 * drive.omega2
-    loss_strong = (
-        math.sin(product * t_lambda / strong) ** 2
-        + math.sin(drive.omega3**2 * t_swap / (2.0 * strong)) ** 2
-    )
-    loss_weak = (
-        math.sin(product * t_lambda / (2.0 * v)) ** 2
-        + math.sin(drive.omega3**2 * t_swap / (4.0 * v)) ** 2
-    )
+    strong_args = (product * t_lambda / strong, drive.omega3**2 * t_swap / (2.0 * strong))
+    weak_args = (product * t_lambda / (2.0 * v), drive.omega3**2 * t_swap / (4.0 * v))
+    if not all(math.isfinite(x) for x in strong_args + weak_args):
+        raise ValueError(
+            f"two-photon phase is not finite: the blockade shift {v:.3g} rad/us "
+            "is too small for the drive"
+        )
+    loss_strong = sum(math.sin(x) ** 2 for x in strong_args)
+    loss_weak = sum(math.sin(x) ** 2 for x in weak_args)
     return 0.25 * loss_strong + 0.5 * loss_weak
 
 

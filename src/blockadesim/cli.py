@@ -42,6 +42,8 @@ from .ideal import cnot_ideal, deutsch_ideal, gate_fidelity, toffoli_ideal
 from .model import PhysicalParams
 from .qcore import unitarity_defect
 from .schedule import (
+    RATIO_MAX,
+    RATIO_MIN,
     SQRT2,
     DriveParams,
     cnot_schedule,
@@ -226,6 +228,11 @@ def _resolve_theta_ratio(cfg: dict) -> None:
             raise ConfigError(f"theta_rad must lie in [0, pi], got {theta}")
     elif ratio is None:
         cfg["ratio_omega2_over_omega1"] = 2.0
+    elif not RATIO_MIN <= ratio <= RATIO_MAX:
+        raise ConfigError(
+            "ratio_omega2_over_omega1 must lie on the tunable branch "
+            f"[sqrt(2) - 1, sqrt(2) + 1], got {ratio}"
+        )
 
 
 def resolve_tau(cfg: dict) -> float:

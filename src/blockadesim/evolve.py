@@ -16,8 +16,17 @@ gives blocks of 12, 6, 6 and 3 states for three atoms and 6 and 3 for two.
 :func:`evolve` gathers every segment's blocks into one zero-padded
 ``(segments, blocks, m, m)`` stack, makes one batched exponential call on it,
 chains the segments with batched products and scatters the blocks into the
-full propagator once.  The dwell integral runs on the same stack, with one
-batched eigendecomposition for all segments.
+full propagator once.  The gather and scatter tables come cached from
+:func:`qcore.sector_layout`.
+
+One decomposition per run: with the dwell on, one batched ``eigh`` of the
+Hermitian stack feeds both the dwell kernel and, with decay off, the unitary
+segment steps (handed to :func:`qcore.matrix_exponential` as ``eig``).  The
+dwell takes each segment's start states from the running products of the
+unitary steps: the propagator chain itself with decay off, or the steps
+built from the same ``eigh`` with decay on (the Pade steps carry the decay,
+which the dwell leaves out).  It is then a few batched products over all
+segments at once.
 """
 
 from __future__ import annotations
@@ -28,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qcore
-from .model import GateSchedule, PhysicalParams, segment_hamiltonian
+from .model import MAX_SEGMENT_PHASE, GateSchedule, PhysicalParams, segment_hamiltonian
 
 
 @dataclass(frozen=True)
@@ -92,36 +101,52 @@ def _wrap_angle(angle: float) -> float:
     return wrapped - math.pi
 
 
+def _running_products(steps: np.ndarray) -> np.ndarray:
+    """``products[k] = steps[k] @ ... @ steps[0]`` for a stack of segment
+    steps, last segment leftmost."""
+    products = np.empty_like(steps)
+    products[0] = steps[0]
+    for k in range(1, len(steps)):
+        products[k] = steps[k] @ products[k - 1]
+    return products
+
+
 def _integrate_dwell(
-    blocks: np.ndarray, durations: np.ndarray, weights: np.ndarray
+    eigvals: np.ndarray,
+    eigvecs: np.ndarray,
+    durations: np.ndarray,
+    weights: np.ndarray,
+    products: np.ndarray,
 ) -> np.ndarray:
     """Exact integral of the total Rydberg population from each basis state
     of each block.
 
-    ``blocks`` is the ``(segments, n_blocks, m, m)`` stack of Hermitian
-    segment blocks and ``weights`` the ``(n_blocks, m)`` Rydberg counts; the
-    result's entry ``[b, j]`` is the dwell of the input in slot ``j`` of block
-    ``b``.  In a segment's eigenbasis, with ``c = V^dag psi`` and
-    ``M = V^dag W V``, the population is
+    ``eigvals`` and ``eigvecs`` decompose the ``(segments, n_blocks, m, m)``
+    stack of Hermitian segment blocks, ``weights`` are the ``(n_blocks, m)``
+    Rydberg counts, and ``products[s]`` the unitary evolution through
+    segment ``s``, so segment ``s`` starts from ``products[s - 1]`` (the
+    first from the identity).  The result's entry ``[b, j]`` is the dwell of
+    the input in slot ``j`` of block ``b``.  In a segment's eigenbasis, with
+    ``c = V^dag psi`` and ``M = V^dag W V``, the population is
     ``sum_jk conj(c_j) M_jk c_k exp(i (lam_j - lam_k) t)``, whose integral
-    over [0, T] weights ``M_jk`` by ``T exp(i d_jk / 2) sinc(d_jk / 2)`` with
-    ``d_jk = (lam_j - lam_k) T``.  ``np.sinc`` is 1 at 0, so degenerate
-    eigenvalues need no special case.
+    over [0, T] weights ``M_jk`` by ``T exp(i x_jk) sin(x_jk) / x_jk`` with
+    ``x_jk = (lam_j - lam_k) T / 2``, which is ``T`` for degenerate
+    eigenvalues.  All segments go through the same batched products, so
+    there is no loop over segments.
     """
-    eigvals, eigvecs = np.linalg.eigh(blocks)
     adjoint = eigvecs.conj().swapaxes(-1, -2)
     t = durations[:, None, None, None]
-    phase = (eigvals[..., :, None] - eigvals[..., None, :]) * t
-    kernel = t * np.exp(0.5j * phase) * np.sinc(phase / (2.0 * np.pi))
+    half = (eigvals[..., :, None] - eigvals[..., None, :]) * (0.5 * t)
+    sin = np.sin(half)
+    scale = t * np.divide(sin, half, out=np.ones_like(half), where=half != 0)
+    kernel = np.empty(half.shape, dtype=complex)
+    kernel.real = np.cos(half) * scale
+    kernel.imag = sin * scale
     weighted = ((adjoint * weights[:, None, :]) @ eigvecs) * kernel
-    steps = eigvecs * np.exp(-1j * eigvals * durations[:, None, None])[..., None, :]
-    coeffs = adjoint[0]  # each block starts from its identity
-    totals = np.zeros(weights.shape)
-    for s in range(len(durations)):
-        if s:
-            coeffs = adjoint[s] @ (steps[s - 1] @ coeffs)
-        totals += np.sum(coeffs.conj() * (weighted[s] @ coeffs), axis=-2).real
-    return totals
+    coeffs = np.empty_like(adjoint)
+    coeffs[0] = adjoint[0]
+    np.matmul(adjoint[1:], products[:-1], out=coeffs[1:])
+    return np.sum(coeffs.conj() * (weighted @ coeffs), axis=(0, -2)).real
 
 
 def evolve(
@@ -164,29 +189,38 @@ def evolve(
     couplings = frozenset(
         (tr.atom, tr.lower) for seg in schedule.segments for tr in seg.transitions
     )
-    index, valid = qcore.sectors(n, couplings)
-    pairs = valid[:, :, None] & valid[:, None, :]
-    rows = np.broadcast_to(index[:, :, None], pairs.shape)[pairs]
-    cols = np.broadcast_to(index[:, None, :], pairs.shape)[pairs]
-    weights = np.where(valid, qcore.rydberg_weights(n)[index], 0.0)
+    layout = qcore.sector_layout(n, couplings)
 
     propagator = np.eye(dim, dtype=complex)
+    hermitian = opts.decay_tau is None
     if hamiltonians:
-        blocks = np.zeros((len(durations), *pairs.shape), dtype=complex)
-        blocks[:, pairs] = np.stack(hamiltonians)[:, rows, cols]
+        blocks = np.zeros((len(durations), *layout.pairs.shape), dtype=complex)
+        blocks[:, layout.pairs] = np.stack(hamiltonians)[:, layout.rows, layout.cols]
         h_eff = blocks
-        if opts.decay_tau is not None:
+        if not hermitian:
+            # Python floats, so a tiny lifetime overflows to inf without a
+            # numpy warning and fails the check
+            rate = 0.5 / opts.decay_tau * float(layout.weights.max())
+            scales = np.abs(blocks).max(axis=(1, 2, 3)).tolist()
+            phase = max((h + rate) * t for h, t in zip(scales, durations.tolist()))
+            if not phase <= MAX_SEGMENT_PHASE:
+                raise ValueError(
+                    "segment phase (max|H| + 0.5 * max_weight / tau) * duration = "
+                    f"{phase:.3g} rad exceeds {MAX_SEGMENT_PHASE:.0e}; check the "
+                    "lifetime, spacing and drive amplitudes"
+                )
             # -i/(2 tau) on every Rydberg projector
-            decay = -0.5j / opts.decay_tau * weights
-            h_eff = blocks + decay[..., None] * np.eye(valid.shape[1])
+            decay = -0.5j / opts.decay_tau * layout.weights
+            h_eff = blocks + decay[..., None] * np.eye(blocks.shape[-1])
+        # one decomposition serves the unitary steps and the dwell;
+        # segment_hamiltonian's phase guard has checked every block finite
+        eig = np.linalg.eigh(blocks) if opts.compute_dwell else None
         steps = qcore.matrix_exponential(
-            h_eff, durations[:, None], hermitian=opts.decay_tau is None
+            h_eff, durations[:, None], hermitian=hermitian, eig=eig if hermitian else None
         )
-        product = steps[0]
-        for step in steps[1:]:
-            product = step @ product
+        products = _running_products(steps)
         propagator = np.zeros((dim, dim), dtype=complex)
-        propagator[rows, cols] = product[pairs]
+        propagator[layout.rows, layout.cols] = products[-1][layout.pairs]
 
     comp = qcore.computational_indices(n)
     labels = qcore.computational_labels(n)
@@ -214,10 +248,13 @@ def evolve(
 
     dwell = None
     if opts.compute_dwell and hamiltonians:
-        totals = _integrate_dwell(blocks, durations, weights)
-        slot = np.empty(dim, dtype=np.intp)
-        slot[index[valid]] = np.flatnonzero(valid)
-        dwell = {lab: float(t) for lab, t in zip(labels, totals.ravel()[slot[comp]])}
+        # each segment starts from the running product of the unitary steps
+        # before it: the propagator chain itself when decay is off
+        if not hermitian:
+            products = _running_products(qcore.eigen_exponential(*eig, durations[:, None]))
+        totals = _integrate_dwell(*eig, durations, layout.weights, products)
+        picked = totals.ravel()[layout.slot[comp]]
+        dwell = {lab: float(t) for lab, t in zip(labels, picked)}
     elif opts.compute_dwell:
         dwell = {lab: 0.0 for lab in labels}
 

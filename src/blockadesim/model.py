@@ -10,6 +10,7 @@ indices is (control 1, control 2, target) for three atoms and
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass, replace
@@ -103,10 +104,12 @@ def _interaction_pairs(n_atoms: int, cc_interaction: str):
     return tuple(pairs)
 
 
-def interaction_operator(
-    params: PhysicalParams, *, cc_interaction: str = "physical"
+@functools.lru_cache(maxsize=256)
+def interaction_diagonal(
+    params: PhysicalParams, cc_interaction: str = "physical"
 ) -> np.ndarray:
-    """Diagonal operator adding the pair shift for every doubly excited pair."""
+    """Summed pair shift of every basis state, rad/us; computed once per
+    ``(params, cc_interaction)`` and returned read-only."""
     in_r = qcore.level_codes(params.n_atoms) == qcore.LEVEL_CODE["r"]
     diag = np.zeros(in_r.shape[1])
     for atom_a, atom_b, rel_distance in _interaction_pairs(
@@ -114,7 +117,15 @@ def interaction_operator(
     ):
         shift = vdw_shift(params.c6_over_2pi, rel_distance * params.spacing)
         diag[in_r[atom_a] & in_r[atom_b]] += shift
-    return np.diag(diag.astype(complex))
+    diag.flags.writeable = False
+    return diag
+
+
+def interaction_operator(
+    params: PhysicalParams, *, cc_interaction: str = "physical"
+) -> np.ndarray:
+    """Diagonal operator adding the pair shift for every doubly excited pair."""
+    return np.diag(interaction_diagonal(params, cc_interaction).astype(complex))
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 from itertools import product
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -142,6 +142,40 @@ def sectors(
     return _read_only(index), _read_only(valid)
 
 
+class SectorLayout(NamedTuple):
+    """How a full-space operator maps onto a padded stack of sector blocks.
+
+    ``pairs`` is the ``(n_blocks, m, m)`` mask of entries inside a block;
+    ``rows`` and ``cols`` are the full-space indices of those entries in
+    mask order, so ``blocks[..., pairs] = full[..., rows, cols]`` gathers and
+    ``full[rows, cols] = blocks[pairs]`` scatters.  ``weights`` is the
+    ``(n_blocks, m)`` Rydberg count of each slot (0 in the padding), and
+    ``slot[i]`` the flat ``(n_blocks * m)`` position of basis index ``i``.
+    """
+
+    pairs: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    weights: np.ndarray
+    slot: np.ndarray
+
+
+@functools.cache
+def sector_layout(
+    n_atoms: int, couplings: frozenset[tuple[int, str]]
+) -> SectorLayout:
+    """The :class:`SectorLayout` of :func:`sectors`, computed once per
+    register size and coupling set; every array is read-only."""
+    index, valid = sectors(n_atoms, couplings)
+    pairs = valid[:, :, None] & valid[:, None, :]
+    rows = np.broadcast_to(index[:, :, None], pairs.shape)[pairs]
+    cols = np.broadcast_to(index[:, None, :], pairs.shape)[pairs]
+    weights = np.where(valid, rydberg_weights(n_atoms)[index], 0.0)
+    slot = np.empty(3**n_atoms, dtype=np.intp)
+    slot[index[valid]] = np.flatnonzero(valid)
+    return SectorLayout(*map(_read_only, (pairs, rows, cols, weights, slot)))
+
+
 def hermitian_defect(matrix: np.ndarray) -> float:
     """Max-norm of M - M^dagger relative to the matrix scale."""
     matrix = np.asarray(matrix)
@@ -167,7 +201,11 @@ def unitarity_defect(matrix: np.ndarray) -> float:
 
 
 def matrix_exponential(
-    hamiltonian: np.ndarray, duration: float | np.ndarray, *, hermitian: bool
+    hamiltonian: np.ndarray,
+    duration: float | np.ndarray,
+    *,
+    hermitian: bool,
+    eig: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Propagators exp(-i H t) for constant Hamiltonian segments.
 
@@ -175,7 +213,9 @@ def matrix_exponential(
     ``duration`` a scalar or an array that broadcasts against the stack's
     leading shape.  With ``hermitian`` the stack goes through one batched
     eigendecomposition, which is exact per segment; otherwise, as for the
-    effective decay term, through one batched :func:`pade_expm`.
+    effective decay term, through one batched :func:`pade_expm`.  A caller
+    that already holds ``np.linalg.eigh(hamiltonian)`` passes it as ``eig``
+    (``hermitian`` only), and the result is the same to the bit.
     """
     h = np.asarray(hamiltonian, dtype=complex)
     if h.ndim < 2 or h.shape[-1] != h.shape[-2]:
@@ -186,15 +226,25 @@ def matrix_exponential(
     if not np.all(np.isfinite(t)) or np.any(t < 0):
         raise ValueError(f"durations must be finite and >= 0, got {duration}")
     t = np.broadcast_to(t, h.shape[:-2])
+    if eig is not None and (not hermitian or eig[0].shape != h.shape[:-1]):
+        raise ValueError("eig must be the eigendecomposition of a Hermitian stack")
     if hermitian:
-        eigvals, eigvecs = np.linalg.eigh(h)
-        phases = np.exp(-1j * eigvals * t[..., None])
-        u = (eigvecs * phases[..., None, :]) @ eigvecs.conj().swapaxes(-1, -2)
+        u = eigen_exponential(*(np.linalg.eigh(h) if eig is None else eig), t)
     else:
         u = pade_expm(-1j * t[..., None, None] * h)
     if not np.all(np.isfinite(u)):
         raise FloatingPointError("propagator contains non-finite entries")
     return u
+
+
+def eigen_exponential(
+    eigvals: np.ndarray, eigvecs: np.ndarray, duration: np.ndarray
+) -> np.ndarray:
+    """exp(-i H t) for each ``H = V diag(lam) V^dag`` of a stack, from its
+    eigenvalues ``(..., m)`` and eigenvectors ``(..., m, m)``; ``duration``
+    broadcasts against the leading shape."""
+    phases = np.exp(-1j * eigvals * np.asarray(duration)[..., None])
+    return (eigvecs * phases[..., None, :]) @ eigvecs.conj().swapaxes(-1, -2)
 
 
 def pade_expm(a: np.ndarray) -> np.ndarray:

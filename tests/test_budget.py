@@ -182,6 +182,13 @@ def test_two_photon_error_vanishes_at_large_blockade():
         two_photon_error(drive, 0.0)
 
 
+@pytest.mark.parametrize("v", [1e-309, -5e-324])
+def test_two_photon_error_names_a_non_finite_phase(v):
+    # omega1 omega2 t / v overflows to inf, where math.sin has no value
+    with pytest.raises(ValueError, match="two-photon phase is not finite"):
+        two_photon_error(ref_drive(0.54), v)
+
+
 def test_two_photon_error_exact_residue_variant():
     drive = ref_drive(0.54)
     default = two_photon_error(drive, V)

@@ -12,6 +12,7 @@ import pytest
 from blockadesim.budget import SWEEP_MAX_POINTS
 from blockadesim import cli
 from blockadesim.cli import CSV_COLUMNS, FIELDS, build_parser, main
+from blockadesim.schedule import RATIO_MAX, RATIO_MIN
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
@@ -377,6 +378,33 @@ def test_rejection_names_the_key(tmp_path, capsys, cfg, message):
     assert len(lines) == 1 and message in lines[0]
 
 
+@pytest.mark.parametrize("command", ["synth", "simulate", "budget", "phase", "sweep"])
+@pytest.mark.parametrize("ratio", ["5", "0.4142"])
+def test_ratio_off_the_tunable_branch_rejected(tmp_path, capsys, command, ratio):
+    argv = [command, "--ratio", ratio, "--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ratio_omega2_over_omega1")
+
+
+@pytest.mark.parametrize("command", ["synth", "simulate", "budget", "phase", "sweep"])
+@pytest.mark.parametrize("ratio", [RATIO_MIN, RATIO_MAX])
+def test_ratio_branch_endpoints_accepted(capsys, command, ratio):
+    assert main([command, "--ratio", repr(ratio)]) == 0
+    captured = capsys.readouterr()
+    # sweep writes its CSV to stdout and the JSON summary to stderr
+    payload = json.loads(captured.err if command == "sweep" else captured.out)
+    assert payload["config"]["ratio_omega2_over_omega1"] == ratio
+
+
+def test_tiny_blockade_shift_names_the_two_photon_term(tmp_path, capsys):
+    # V = 2pi * 633e3 / 395^6 * 1e-300 rad/us puts every two-photon phase at inf
+    argv = ["budget", "--spacing-um", "395", "--v-scale", "1e-300"]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: two-photon phase is not finite")
+
+
 def test_invalid_values_rejected(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"omega_bar_MHz": -1.0}))
@@ -429,9 +457,15 @@ def test_mistyped_config_gives_one_error_line(tmp_path, capsys, cfg):
         (["sweep", "--omega0-mhz", "1e-200"], None),
         # a residue phase that overflows to -inf is no JSON number
         (["phase"], {"c6_GHz_um6": 1e-300, "L_um": 27.0}),
+        # the decay rate 0.5 * 3 / tau overflows the segment exponentials
+        (["simulate", "--decay", "effective", "--tau-us", "1e-306",
+          "--omega-bar-mhz", "0.001"], None),
     ],
-    ids=["v_scale", "c6", "omega_ratio", "budget_omega0", "sweep_omega0", "phase_inf"],
+    ids=["v_scale", "c6", "omega_ratio", "budget_omega0", "sweep_omega0", "phase_inf",
+         "decay_rate"],
 )
+# a warning would print more stderr lines from a shell
+@pytest.mark.filterwarnings("error")
 def test_arithmetic_failure_gives_one_error_line(tmp_path, capsys, argv, cfg):
     if cfg is not None:
         cfg_path = tmp_path / "cfg.json"

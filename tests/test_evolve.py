@@ -178,6 +178,40 @@ def test_decay_tau_validation():
         evolve(deutsch_schedule(DRIVE), REF_PARAMS, SimulationOptions(decay_tau=0.0))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("tau", [1e-306, 5e-324, 1e-12])
+def test_decay_rate_counts_toward_the_segment_phase(tau):
+    # 0.5 * 3 / tau over the 1.85 us target pulses passes 1e12 rad at each
+    # of these lifetimes; without the decay term the segments sit far below
+    with pytest.raises(ValueError, match="tau"):
+        evolve(deutsch_schedule(DRIVE), REF_PARAMS, SimulationOptions(decay_tau=tau))
+    result = evolve(deutsch_schedule(DRIVE), REF_PARAMS, SimulationOptions(decay_tau=1e-6))
+    assert all(math.isfinite(loss) for loss in result.norm_loss_per_input.values())
+
+
+@pytest.mark.parametrize(
+    "decay_tau,compute_dwell,eighs,pades",
+    [(None, True, 1, 0), (1590.0, True, 1, 1), (None, False, 1, 0), (1590.0, False, 0, 1)],
+)
+def test_one_decomposition_per_evolve(monkeypatch, decay_tau, compute_dwell, eighs, pades):
+    # the dwell shares the propagator's eigh with decay off, and takes its
+    # unitary steps from the same eigh with decay on
+    calls = {"eigh": 0, "pade": 0}
+
+    def counted(name, function):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+    monkeypatch.setattr(qcore, "pade_expm", counted("pade", qcore.pade_expm))
+    options = SimulationOptions(decay_tau=decay_tau, compute_dwell=compute_dwell)
+    result = evolve(deutsch_schedule(DRIVE), REF_PARAMS, options)
+    assert calls == {"eigh": eighs, "pade": pades}
+    assert (result.dwell_per_input is not None) == compute_dwell
+
+
 def test_frame_correction_phase_bookkeeping():
     corrected = evolve(
         deutsch_schedule(DRIVE),

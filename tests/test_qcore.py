@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from blockadesim import qcore
+from blockadesim.model import PhysicalParams, interaction_diagonal
 
 
 def two_level_rabi(omega, t):
@@ -65,19 +66,54 @@ def test_rydberg_weights():
     assert w[26] == 3
 
 
+DEUTSCH_COUPLINGS = frozenset({(0, "g0"), (1, "g0"), (2, "g0"), (2, "g1")})
+CNOT_COUPLINGS = frozenset({(0, "g0"), (1, "g0"), (1, "g1")})
+
+
+def sector_layout(n_atoms):
+    return qcore.sector_layout(n_atoms, DEUTSCH_COUPLINGS)
+
+
+def interaction_diagonal_physical(n_atoms):
+    return interaction_diagonal(PhysicalParams(-633.0, 6.0, 1590.0, n_atoms), "physical")
+
+
 @pytest.mark.parametrize(
     "table",
     [qcore.level_codes, qcore.computational_indices, qcore.rydberg_weights,
-     qcore.coupling_indices],
+     qcore.coupling_indices, sector_layout, interaction_diagonal_physical],
 )
 def test_register_tables_are_cached_and_read_only(table):
     assert table(3) is table(3)
-    with pytest.raises(ValueError):
-        table(3)[0] = 5
+    arrays = table(3) if isinstance(table(3), tuple) else (table(3),)
+    for array in arrays:
+        with pytest.raises(ValueError):
+            array[0] = 5
 
 
-DEUTSCH_COUPLINGS = frozenset({(0, "g0"), (1, "g0"), (2, "g0"), (2, "g1")})
-CNOT_COUPLINGS = frozenset({(0, "g0"), (1, "g0"), (1, "g1")})
+@pytest.mark.parametrize(
+    "n_atoms,couplings", [(3, DEUTSCH_COUPLINGS), (2, CNOT_COUPLINGS), (3, frozenset())]
+)
+def test_sector_layout_gathers_and_scatters_the_blocks(n_atoms, couplings):
+    index, valid = qcore.sectors(n_atoms, couplings)
+    layout = qcore.sector_layout(n_atoms, couplings)
+    dim = 3**n_atoms
+    # an operator that is nonzero exactly on the in-block entries
+    block_of = np.empty(dim, dtype=int)
+    block_of[index[valid]] = np.nonzero(valid)[0]
+    same_block = block_of[:, None] == block_of[None, :]
+    full = np.where(same_block, 1.0 + np.arange(dim * dim).reshape(dim, dim), 0.0)
+    blocks = np.zeros(layout.pairs.shape)
+    blocks[layout.pairs] = full[layout.rows, layout.cols]
+    back = np.zeros_like(full)
+    back[layout.rows, layout.cols] = blocks[layout.pairs]
+    np.testing.assert_array_equal(back, full)
+    flat = np.zeros(valid.size)
+    flat[layout.slot] = np.arange(dim)
+    np.testing.assert_array_equal(flat.reshape(valid.shape)[valid], index[valid])
+    np.testing.assert_array_equal(
+        layout.weights.ravel()[layout.slot], qcore.rydberg_weights(n_atoms)
+    )
 
 
 @pytest.mark.parametrize(
@@ -136,6 +172,16 @@ def test_matrix_exponential_stack_matches_one_call_per_matrix(hermitian):
     durations = np.array([[0.05], [1.3], [75.0]])
     stack = qcore.matrix_exponential(h, durations, hermitian=hermitian)
     assert stack.shape == h.shape
+    # a caller's own decomposition gives the same result to the bit, and
+    # only the Hermitian path takes one
+    eig = np.linalg.eigh(h)
+    if hermitian:
+        np.testing.assert_array_equal(
+            qcore.matrix_exponential(h, durations, hermitian=True, eig=eig), stack
+        )
+    else:
+        with pytest.raises(ValueError, match="eig"):
+            qcore.matrix_exponential(h, durations, hermitian=False, eig=eig)
     for i in range(3):
         for j in range(4):
             one = qcore.matrix_exponential(h[i, j], durations[i, 0], hermitian=hermitian)
@@ -241,6 +287,14 @@ def test_matrix_exponential_rejects_bad_input():
         qcore.matrix_exponential(np.zeros((2, 3, 3)), [1.0, np.inf], hermitian=True)
     with pytest.raises(ValueError):
         qcore.matrix_exponential(np.zeros((2, 3, 3)), [1.0, 2.0, 3.0], hermitian=False)
+    # a caller's decomposition skips none of the checks
+    eig = np.linalg.eigh(np.eye(2))
+    with pytest.raises(FloatingPointError):
+        qcore.matrix_exponential(np.array([[np.nan, 0], [0, 1]]), 1.0, hermitian=True, eig=eig)
+    with pytest.raises(ValueError):
+        qcore.matrix_exponential(np.eye(2), np.nan, hermitian=True, eig=eig)
+    with pytest.raises(ValueError, match="eig"):
+        qcore.matrix_exponential(np.eye(3), 1.0, hermitian=True, eig=eig)
 
 
 def test_hermitian_checks():
