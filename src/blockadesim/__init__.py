@@ -18,9 +18,7 @@ from .budget import (
 from .evolve import (
     SimulationOptions,
     SimulationResult,
-    computational_block,
     evolve,
-    rydberg_dwell,
 )
 from .ideal import cnot_ideal, deutsch_ideal, gate_fidelity, toffoli_ideal
 from .model import (
@@ -28,7 +26,6 @@ from .model import (
     PhysicalParams,
     PulseSegment,
     Transition,
-    interaction_operator,
     segment_hamiltonian,
     vdw_shift,
 )
@@ -60,7 +57,6 @@ __all__ = [
     "blockade_error",
     "cnot_ideal",
     "cnot_schedule",
-    "computational_block",
     "decay_error",
     "deutsch_ideal",
     "deutsch_schedule",
@@ -69,10 +65,8 @@ __all__ = [
     "evolve",
     "gate_fidelity",
     "gate_time",
-    "interaction_operator",
     "omegas_from_theta",
     "phase_phi",
-    "rydberg_dwell",
     "segment_hamiltonian",
     "solve_phase_matching",
     "sweep",

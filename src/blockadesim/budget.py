@@ -112,21 +112,20 @@ def blockade_error(v: float, omega0: float) -> float:
     return 2.0 * (v / 64.0) ** 2 / omega0**2
 
 
-def two_photon_error(
-    drive: DriveParams, v: float, *, include_residue_shift: bool = False
-) -> float:
+def two_photon_error(drive: DriveParams, v: float) -> float:
     """Mean population loss through the six blockade-shift two-photon
     transitions.
 
-    The doubly excited-control rows see an effective detuning of 4v (the
-    residue correction v/32 is dropped unless ``include_residue_shift``), the
-    singly excited rows see 2v.
+    The doubly excited-control rows see an effective detuning of 4v, the
+    singly excited rows see 2v.  The residue correction v/32 to the 4v is
+    dropped: it is 1/128 of that detuning and moves only the quarter-weight
+    strong-row term.
     """
     if v == 0:
         raise ValueError("v must be nonzero")
     t_lambda = 2.0 * math.pi / drive.omega_bar
     t_swap = SQRT2 * math.pi / drive.omega3
-    strong = 4.0 * v + (v / 32.0 if include_residue_shift else 0.0)
+    strong = 4.0 * v
     product = drive.omega1 * drive.omega2
     strong_args = (product * t_lambda / strong, drive.omega3**2 * t_swap / (2.0 * strong))
     weak_args = (product * t_lambda / (2.0 * v), drive.omega3**2 * t_swap / (4.0 * v))
@@ -177,14 +176,6 @@ class SweepPoint:
     drive: DriveParams
     budget_4k: ErrorBudget
     budget_300k: ErrorBudget
-
-    @property
-    def gate_time_us(self) -> float:
-        return self.budget_4k.gate_time_us
-
-    @property
-    def residue_phase_rad(self) -> float:
-        return self.budget_4k.residue_phase_rad
 
 
 def sweep_grid(start_mhz: float, stop_mhz: float, step_mhz: float) -> list[float]:

@@ -319,8 +319,11 @@ def _emit(artifact: dict | str, out_path: str | None, summary: str) -> None:
     if isinstance(artifact, dict):
         artifact = _json_text(artifact) + "\n"
     if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(artifact)
+        try:
+            with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(artifact)
+        except OSError as exc:
+            raise ValueError(f"cannot write {out_path}: {exc.strerror or exc}") from exc
         print(summary)
     else:
         print(summary, file=sys.stderr)

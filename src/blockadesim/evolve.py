@@ -9,8 +9,9 @@ Decay is an effective non-Hermitian term -i/(2 tau) on every Rydberg
 projector: lost norm equals the decay probability, branching is not tracked.
 
 Sector packing: a coupling links ``|lower>`` and ``|r>`` of one atom, so the
-Hamiltonians, the decay term and the Rydberg weights are block-diagonal over
-the connected components of the schedule's couplings (:func:`qcore.sectors`).
+Hamiltonians, the decay term and the Rydberg weights are block-diagonal, each
+block a product of per-atom level groups (``r`` with the lower levels the
+schedule couples to it, every other level alone; :func:`qcore.sectors`).
 In the paper's protocols every control pulse drives ``g0 <-> r`` only, which
 gives blocks of 12, 6, 6 and 3 states for three atoms and 6 and 3 for two.
 :func:`evolve` gathers every segment's blocks into one zero-padded
@@ -80,18 +81,6 @@ class SimulationResult:
     norm_loss_per_input: dict[str, float]
     phase_correction: float
     phase_mismatch: float
-
-
-def computational_block(propagator: np.ndarray, n_atoms: int) -> np.ndarray:
-    """Restrict a full-space propagator to the computational basis (no
-    renormalization)."""
-    propagator = np.asarray(propagator)
-    if propagator.shape != (3**n_atoms, 3**n_atoms):
-        raise ValueError(
-            f"propagator shape {propagator.shape} does not match {n_atoms} atoms"
-        )
-    comp = qcore.computational_indices(n_atoms)
-    return propagator[np.ix_(comp, comp)]
 
 
 def _wrap_angle(angle: float) -> float:
@@ -260,32 +249,10 @@ def evolve(
 
     return SimulationResult(
         full_propagator=propagator,
-        computational_block=computational_block(propagator, n),
+        computational_block=propagator[np.ix_(comp, comp)],
         leakage_per_input=leakage,
         dwell_per_input=dwell,
         norm_loss_per_input=norm_loss,
         phase_correction=phase_correction,
         phase_mismatch=phase_mismatch,
     )
-
-
-def rydberg_dwell(
-    schedule: GateSchedule,
-    params: PhysicalParams,
-    input_state: str,
-    *,
-    cc_interaction: str = "physical",
-) -> float:
-    """Integrated time (us) the register spends in Rydberg levels for one
-    computational input, decay off.
-
-    ``input_state`` is a bit string such as "010" (control 1, control 2,
-    target order).  The value is that input's entry of :func:`evolve`'s
-    ``dwell_per_input``.
-    """
-    n = schedule.n_atoms
-    bits = str(input_state)
-    if len(bits) != n or any(b not in "01" for b in bits):
-        raise ValueError(f"input_state must be {n} bits of 0/1, got {input_state!r}")
-    options = SimulationOptions(cc_interaction=cc_interaction)
-    return evolve(schedule, params, options).dwell_per_input[bits]

@@ -90,42 +90,28 @@ class PhysicalParams:
         return replace(self, c6_over_2pi=self.c6_over_2pi * factor)
 
 
-def _interaction_pairs(n_atoms: int, cc_interaction: str):
-    """(atom_a, atom_b, distance multiple of L) pairs that carry a shift."""
-    if cc_interaction not in ("physical", "none"):
-        raise ValueError(
-            f"cc_interaction must be 'physical' or 'none', got {cc_interaction!r}"
-        )
-    if n_atoms == 2:
-        return ((0, 1, 1.0),)
-    pairs = [(0, 2, 1.0), (1, 2, 1.0)]
-    if cc_interaction == "physical":
-        pairs.append((0, 1, 2.0))
-    return tuple(pairs)
-
-
 @functools.lru_cache(maxsize=256)
 def interaction_diagonal(
     params: PhysicalParams, cc_interaction: str = "physical"
 ) -> np.ndarray:
-    """Summed pair shift of every basis state, rad/us; computed once per
-    ``(params, cc_interaction)`` and returned read-only."""
-    in_r = qcore.level_codes(params.n_atoms) == qcore.LEVEL_CODE["r"]
-    diag = np.zeros(in_r.shape[1])
-    for atom_a, atom_b, rel_distance in _interaction_pairs(
-        params.n_atoms, cc_interaction
-    ):
-        shift = vdw_shift(params.c6_over_2pi, rel_distance * params.spacing)
-        diag[in_r[atom_a] & in_r[atom_b]] += shift
+    """Summed pair shift of every basis state, rad/us: ``params.blockade``
+    where a control and the target are both in ``r``, plus
+    ``params.control_residue`` where both controls are (``"physical"``
+    only).  Computed once per ``(params, cc_interaction)`` and returned
+    read-only."""
+    if cc_interaction not in ("physical", "none"):
+        raise ValueError(
+            f"cc_interaction must be 'physical' or 'none', got {cc_interaction!r}"
+        )
+    *controls, target = qcore.level_codes(params.n_atoms) == qcore.LEVEL_CODE["r"]
+    diag = np.zeros(target.shape)
+    blockade = params.blockade
+    for control in controls:
+        diag[control & target] += blockade
+    if cc_interaction == "physical" and len(controls) == 2:
+        diag[controls[0] & controls[1]] += params.control_residue
     diag.flags.writeable = False
     return diag
-
-
-def interaction_operator(
-    params: PhysicalParams, *, cc_interaction: str = "physical"
-) -> np.ndarray:
-    """Diagonal operator adding the pair shift for every doubly excited pair."""
-    return np.diag(interaction_diagonal(params, cc_interaction).astype(complex))
 
 
 @dataclass(frozen=True)
@@ -215,7 +201,7 @@ def segment_hamiltonian(
     when ``max|H| * duration`` exceeds ``MAX_SEGMENT_PHASE``.
     """
     n = params.n_atoms
-    h = interaction_operator(params, cc_interaction=cc_interaction)
+    h = np.diag(interaction_diagonal(params, cc_interaction).astype(complex))
     couplings = qcore.coupling_indices(n)
     for tr in segment.transitions:
         if tr.atom >= n:

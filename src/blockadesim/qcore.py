@@ -18,11 +18,6 @@ import numpy as np
 LEVELS = ("g0", "g1", "r")
 LEVEL_CODE = {"g0": 0, "g1": 1, "r": 2}
 
-# Default tolerances; callers may override per call.
-HERMITIAN_TOL = 1e-12
-UNITARY_TOL = 1e-10
-NORM_TOL = 1e-10
-
 # Degree-13 diagonal Pade coefficients and the 1-norm up to which that
 # approximant is exact to double precision (Higham 2005, SIAM J. Matrix
 # Anal. Appl. 26, 1179).
@@ -49,14 +44,10 @@ def basis_index(levels: Sequence[str]) -> int:
     return index
 
 
-def computational_bits(n_atoms: int) -> list[tuple[int, ...]]:
-    """Qubit bit patterns in gate order: (0,..,0), (0,..,1), ..., (1,..,1)."""
-    return list(product((0, 1), repeat=n_atoms))
-
-
 def computational_labels(n_atoms: int) -> list[str]:
-    """Bit-string labels for the 2**n computational basis states."""
-    return ["".join(str(b) for b in bits) for bits in computational_bits(n_atoms)]
+    """Bit-string labels of the 2**n computational basis states in gate
+    order: "0..0", "0..1", ..., "1..1"."""
+    return ["".join(bits) for bits in product("01", repeat=n_atoms)]
 
 
 # Integer index tables of a register: each is computed once per register
@@ -114,27 +105,25 @@ def sectors(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Blocks of basis states that a set of ``(atom, lower)`` couplings joins.
 
-    A coupling links ``|lower>`` and ``|r>`` of one atom, and every other
-    term of a segment Hamiltonian is diagonal, so any Hamiltonian built from
-    these couplings is block-diagonal over the connected components of their
-    union.  Returns ``(index, valid)``: row ``b`` of the ``(n_blocks, m)``
-    ``index`` holds block ``b``'s basis indices in ascending order, padded to
-    the largest block size ``m`` with index 0 where ``valid`` is False.
-    Blocks are ordered by their smallest basis index.
+    A coupling links ``|lower>`` and ``|r>`` of one atom and nothing else, and
+    every other term of a segment Hamiltonian is diagonal, so any Hamiltonian
+    built from these couplings is block-diagonal, and each block is a product
+    of per-atom level groups: ``r`` with the lower levels coupled to it on
+    that atom, and each uncoupled lower level on its own.  Returns
+    ``(index, valid)``: row ``b`` of the ``(n_blocks, m)`` ``index`` holds
+    block ``b``'s basis indices in ascending order, padded to the largest
+    block size ``m`` with index 0 where ``valid`` is False.  Blocks are
+    ordered by their smallest basis index.
     """
-    table = coupling_indices(n_atoms)
-    label = np.arange(3**n_atoms)
-    while True:
-        # every state takes the smallest label among its neighbours until
-        # each component carries the index of its first state
-        before = label.copy()
-        for atom, lower in couplings:
-            rows, cols = table[atom, LEVEL_CODE[lower]]
-            low = np.minimum(label[rows], label[cols])
-            label[rows] = low
-            label[cols] = low
-        if np.array_equal(label, before):
-            break
+    joined = np.zeros((n_atoms, 3), dtype=bool)
+    joined[:, LEVEL_CODE["r"]] = True
+    for atom, lower in couplings:
+        joined[atom, LEVEL_CODE[lower]] = True
+    # a block's smallest basis index puts every atom at the lowest level of
+    # its group, and that index labels each state of the block
+    lowest = np.where(joined, joined.argmax(axis=1)[:, None], np.arange(3))
+    codes = np.take_along_axis(lowest, level_codes(n_atoms), axis=1)
+    label = 3 ** np.arange(n_atoms - 1, -1, -1) @ codes
     _, block, sizes = np.unique(label, return_inverse=True, return_counts=True)
     valid = np.arange(sizes.max()) < sizes[:, None]
     index = np.zeros(valid.shape, dtype=np.intp)
@@ -176,21 +165,12 @@ def sector_layout(
     return SectorLayout(*map(_read_only, (pairs, rows, cols, weights, slot)))
 
 
-def hermitian_defect(matrix: np.ndarray) -> float:
-    """Max-norm of M - M^dagger relative to the matrix scale."""
+def is_hermitian(matrix: np.ndarray, tol: float = 1e-12) -> bool:
+    """Whether the max-norm of M - M^dagger, relative to the matrix scale,
+    is at most ``tol``."""
     matrix = np.asarray(matrix)
     scale = max(1.0, float(np.abs(matrix).max())) if matrix.size else 1.0
-    return float(np.abs(matrix - matrix.conj().T).max()) / scale
-
-
-def is_hermitian(matrix: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
-    return hermitian_defect(matrix) <= tol
-
-
-def require_hermitian(matrix: np.ndarray, tol: float = HERMITIAN_TOL) -> None:
-    defect = hermitian_defect(matrix)
-    if defect > tol:
-        raise ValueError(f"matrix is not Hermitian (relative defect {defect:.3e})")
+    return float(np.abs(matrix - matrix.conj().T).max()) / scale <= tol
 
 
 def unitarity_defect(matrix: np.ndarray) -> float:

@@ -146,6 +146,18 @@ def test_spacing_outside_float_range_gives_one_error_line(tmp_path, capsys, comm
     assert "float range" in lines[0]
 
 
+@pytest.mark.parametrize("command", ["synth", "simulate", "sweep", "budget", "phase"])
+@pytest.mark.parametrize("target", ["missing/out.json", "."])
+def test_unwritable_out_gives_one_error_line(tmp_path, capsys, command, target):
+    # a path in a missing directory, and a directory as the target
+    out = tmp_path / target
+    assert main([command, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: cannot write {out}: ")
+
+
 def test_closed_stdout_exits_quietly(tmp_path):
     # the pipe's read end is closed before the child starts, so its first
     # write to stdout fails with EPIPE whatever the timing; PYTHONUNBUFFERED

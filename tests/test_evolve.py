@@ -7,12 +7,7 @@ import pytest
 
 from blockadesim import qcore
 from blockadesim.budget import avg_dwell, control_dwell, decay_error, dwell_table
-from blockadesim.evolve import (
-    SimulationOptions,
-    computational_block,
-    evolve,
-    rydberg_dwell,
-)
+from blockadesim.evolve import SimulationOptions, evolve
 from blockadesim.ideal import cnot_ideal, deutsch_ideal, gate_fidelity, toffoli_ideal
 from blockadesim.model import (
     GateSchedule,
@@ -258,24 +253,17 @@ def test_frame_correction_noop_without_residue():
     assert result.phase_correction == 0.0
 
 
-def test_computational_block_extraction():
-    block = computational_block(np.eye(27), 3)
-    np.testing.assert_array_equal(block, np.eye(8))
-    with pytest.raises(ValueError):
-        computational_block(np.eye(27), 2)
-
-
 # ---------------------------------------------------------------------------
 # dwell times
 # ---------------------------------------------------------------------------
 
 def test_dwell_singly_excited_control():
-    dwell = rydberg_dwell(deutsch_schedule(DRIVE), REF_PARAMS, "010")
+    dwell = evolve(deutsch_schedule(DRIVE), REF_PARAMS).dwell_per_input["010"]
     assert dwell == pytest.approx(control_dwell(DRIVE), rel=0.01)
 
 
 def test_dwell_doubly_excited_controls():
-    dwell = rydberg_dwell(deutsch_schedule(DRIVE), REF_PARAMS, "000")
+    dwell = evolve(deutsch_schedule(DRIVE), REF_PARAMS).dwell_per_input["000"]
     assert dwell == pytest.approx(2.0 * control_dwell(DRIVE), rel=0.01)
 
 
@@ -284,7 +272,7 @@ def test_dwell_gate_pair_input():
     expected = (math.pi / DRIVE.omega_bar) * (29.0 / 125.0) + math.pi / (
         2.0 * math.sqrt(2.0) * DRIVE.omega3
     )
-    dwell = rydberg_dwell(deutsch_schedule(DRIVE), REF_PARAMS, "110")
+    dwell = evolve(deutsch_schedule(DRIVE), REF_PARAMS).dwell_per_input["110"]
     assert dwell == pytest.approx(expected, rel=0.01)
 
 
@@ -307,7 +295,7 @@ def test_dwell_resonant_segment_is_exact(duration):
     # not only for whole Rabi periods (2 pi / Omega = 1 us here)
     omega = TWO_PI * 1.0
     pulse = PulseSegment((Transition(0, "g0", omega),), duration)
-    dwell = rydberg_dwell(_one_atom_schedule(pulse), REF_PARAMS_2, "00")
+    dwell = evolve(_one_atom_schedule(pulse), REF_PARAMS_2).dwell_per_input["00"]
     expected = duration / 2.0 - math.sin(omega * duration) / (2.0 * omega)
     assert dwell == pytest.approx(expected, rel=1e-12)
 
@@ -317,7 +305,7 @@ def test_dwell_wait_in_rydberg_adds_wait_time():
     omega = TWO_PI * 1.0
     pi_pulse = PulseSegment((Transition(0, "g0", omega),), math.pi / omega)
     wait = PulseSegment((), 1.25)
-    dwell = rydberg_dwell(_one_atom_schedule(pi_pulse, wait), REF_PARAMS_2, "00")
+    dwell = evolve(_one_atom_schedule(pi_pulse, wait), REF_PARAMS_2).dwell_per_input["00"]
     assert dwell == pytest.approx(math.pi / (2.0 * omega) + 1.25, rel=1e-12)
 
 
@@ -339,15 +327,6 @@ def test_dwell_finite_at_extreme_control_drive():
     for label, expected in table.items():
         assert math.isfinite(result.dwell_per_input[label])
         assert result.dwell_per_input[label] == pytest.approx(expected, rel=0.01)
-
-
-def test_rydberg_dwell_input_validation():
-    with pytest.raises(ValueError):
-        rydberg_dwell(deutsch_schedule(DRIVE), REF_PARAMS, "01")
-    with pytest.raises(ValueError):
-        rydberg_dwell(deutsch_schedule(DRIVE), REF_PARAMS, "01x")
-    with pytest.raises(ValueError):
-        rydberg_dwell(cnot_schedule(DRIVE), REF_PARAMS, "00")
 
 
 def test_wait_segment_only_accumulates_interaction_phase():

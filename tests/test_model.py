@@ -14,7 +14,7 @@ from blockadesim.model import (
     PhysicalParams,
     PulseSegment,
     Transition,
-    interaction_operator,
+    interaction_diagonal,
     segment_hamiltonian,
     vdw_shift,
 )
@@ -117,19 +117,19 @@ def test_physical_params_validation():
 
 
 def test_interaction_operator_diagonals():
-    op = interaction_operator(REF_PARAMS)
-    diag = np.diag(op)
+    # the interaction operator is diagonal and real: one shift per basis state
+    diag = interaction_diagonal(REF_PARAMS)
     v = REF_PARAMS.blockade
-    assert np.abs(op - np.diag(diag)).max() == 0.0
-    assert np.abs(diag.imag).max() == 0.0
+    assert diag.shape == (27,)
+    assert diag.dtype == np.float64
     # both controls excited: residue only
-    assert diag[qcore.basis_index(("r", "r", "g0"))].real == pytest.approx(v / 64.0)
-    assert diag[qcore.basis_index(("r", "r", "g1"))].real == pytest.approx(v / 64.0)
+    assert diag[qcore.basis_index(("r", "r", "g0"))] == pytest.approx(v / 64.0)
+    assert diag[qcore.basis_index(("r", "r", "g1"))] == pytest.approx(v / 64.0)
     # one control plus target: full blockade shift
-    assert diag[qcore.basis_index(("r", "g1", "r"))].real == pytest.approx(v)
-    assert diag[qcore.basis_index(("g1", "r", "r"))].real == pytest.approx(v)
+    assert diag[qcore.basis_index(("r", "g1", "r"))] == pytest.approx(v)
+    assert diag[qcore.basis_index(("g1", "r", "r"))] == pytest.approx(v)
     # all three excited
-    assert diag[qcore.basis_index(("r", "r", "r"))].real == pytest.approx(
+    assert diag[qcore.basis_index(("r", "r", "r"))] == pytest.approx(
         2.0 * v + v / 64.0
     )
     # at most one excited atom: no shift
@@ -138,18 +138,17 @@ def test_interaction_operator_diagonals():
 
 
 def test_interaction_operator_without_control_residue():
-    op = interaction_operator(REF_PARAMS, cc_interaction="none")
-    diag = np.diag(op).real
+    diag = interaction_diagonal(REF_PARAMS, cc_interaction="none")
     v = REF_PARAMS.blockade
     assert diag[qcore.basis_index(("r", "r", "g0"))] == 0.0
     assert diag[qcore.basis_index(("r", "r", "r"))] == pytest.approx(2.0 * v)
     with pytest.raises(ValueError):
-        interaction_operator(REF_PARAMS, cc_interaction="off")
+        interaction_diagonal(REF_PARAMS, cc_interaction="off")
 
 
 def test_interaction_operator_two_atoms():
     params = PhysicalParams(-633.0, 6.0, 1590.0, n_atoms=2)
-    diag = np.diag(interaction_operator(params)).real
+    diag = interaction_diagonal(params)
     assert diag[qcore.basis_index(("r", "r"))] == pytest.approx(params.blockade)
     assert diag[qcore.basis_index(("r", "g1"))] == 0.0
 
@@ -157,7 +156,7 @@ def test_interaction_operator_two_atoms():
 def test_segment_hamiltonian_empty_is_interaction_only():
     segment = PulseSegment((), 1.0)
     h = segment_hamiltonian(segment, REF_PARAMS)
-    np.testing.assert_array_equal(h, interaction_operator(REF_PARAMS))
+    np.testing.assert_array_equal(h, np.diag(interaction_diagonal(REF_PARAMS)))
 
 
 def test_segment_hamiltonian_lambda_block():
