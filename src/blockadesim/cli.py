@@ -28,18 +28,18 @@ import math
 import os
 import sys
 from dataclasses import asdict, dataclass, replace
+from operator import attrgetter
 
 from . import __version__
 from .budget import (
     TAU_BY_TEMPERATURE,
     argmin_total,
     error_budget,
-    gate_time,
     sweep,
 )
 from .evolve import SimulationOptions, evolve
 from .ideal import cnot_ideal, deutsch_ideal, gate_fidelity, toffoli_ideal
-from .model import PhysicalParams
+from .model import GateSchedule, PhysicalParams
 from .qcore import unitarity_defect
 from .schedule import (
     RATIO_MAX,
@@ -289,7 +289,9 @@ def build_options(cfg: dict) -> SimulationOptions:
     )
 
 
-def derived_block(cfg: dict, drive: DriveParams, params: PhysicalParams) -> dict:
+def derived_block(
+    cfg: dict, drive: DriveParams, params: PhysicalParams, schedule: GateSchedule
+) -> dict:
     theta = drive.theta if cfg["gate"] != "cnot" else None
     return {
         "theta_rad": theta,
@@ -301,7 +303,7 @@ def derived_block(cfg: dict, drive: DriveParams, params: PhysicalParams) -> dict
         "blockade_V_MHz": params.blockade / TWO_PI,
         "control_residue_MHz": params.control_residue / TWO_PI,
         "tau_us": resolve_tau(cfg),
-        "gate_time_us": gate_time(drive),
+        "gate_time_us": schedule.total_duration,
     }
 
 
@@ -342,7 +344,7 @@ def _format_transition(tr) -> str:
 def cmd_synth(cfg: dict, drive: DriveParams, out: str | None) -> None:
     schedule = gate_functions(cfg["gate"])[0](drive)
     params = build_params(cfg, schedule.n_atoms)
-    derived = derived_block(cfg, drive, params)
+    derived = derived_block(cfg, drive, params, schedule)
     v = params.blockade
     phi = phase_phi(drive, v)
     matches = [
@@ -410,7 +412,7 @@ def cmd_simulate(cfg: dict, drive: DriveParams, out: str | None) -> None:
 
     payload = {
         "config": cfg,
-        "derived": derived_block(cfg, drive, params),
+        "derived": derived_block(cfg, drive, params, schedule),
         "fidelity": {"state_average": fid_avg, "trace": fid_trace},
         "infidelity_state_average": 1.0 - fid_avg,
         "leakage_per_input": result.leakage_per_input,
@@ -430,12 +432,13 @@ def cmd_simulate(cfg: dict, drive: DriveParams, out: str | None) -> None:
 
 
 def cmd_budget(cfg: dict, drive: DriveParams, out: str | None) -> None:
+    schedule = gate_functions(cfg["gate"])[0](drive)
     params = build_params(cfg, 3)
     tau = resolve_tau(cfg)
     b = error_budget(drive, params, tau)
     payload = {
         "config": cfg,
-        "derived": derived_block(cfg, drive, params),
+        "derived": derived_block(cfg, drive, params, schedule),
         "temperature": cfg["temperature"] if cfg["tau_us"] is None else None,
         "tau_us": tau,
         "budget": {**asdict(b), "total": b.total},
@@ -449,6 +452,7 @@ def cmd_budget(cfg: dict, drive: DriveParams, out: str | None) -> None:
 
 
 def cmd_phase(cfg: dict, drive: DriveParams, out: str | None) -> None:
+    schedule = gate_functions(cfg["gate"])[0](drive)
     params = build_params(cfg, 3)
     v = params.blockade
     phi = phase_phi(drive, v)
@@ -470,7 +474,7 @@ def cmd_phase(cfg: dict, drive: DriveParams, out: str | None) -> None:
         )
     payload = {
         "config": cfg,
-        "derived": derived_block(cfg, drive, params),
+        "derived": derived_block(cfg, drive, params, schedule),
         "phi_rad": phi,
         "phi_over_pi": phi / math.pi,
         "matched_solutions": solutions,
@@ -479,35 +483,24 @@ def cmd_phase(cfg: dict, drive: DriveParams, out: str | None) -> None:
     _emit(payload, out, summary)
 
 
-CSV_COLUMNS = (
-    "omega_bar_MHz",
-    "T_g_us",
-    "E_decay_4K",
-    "E_bl",
-    "E_2ph",
-    "total_4K",
-    "E_decay_300K",
-    "total_300K",
-    "phi_rad",
-)
+# The sweep CSV: each column and the SweepPoint attribute it prints.
+CSV_COLUMNS = {
+    "omega_bar_MHz": "omega_bar_mhz",
+    "T_g_us": "budget_4k.gate_time_us",
+    "E_decay_4K": "budget_4k.decay",
+    "E_bl": "budget_4k.blockade",
+    "E_2ph": "budget_4k.two_photon",
+    "total_4K": "budget_4k.total",
+    "E_decay_300K": "budget_300k.decay",
+    "total_300K": "budget_300k.total",
+    "phi_rad": "budget_4k.residue_phase_rad",
+}
 
 
 def _csv_text(points) -> str:
+    row = attrgetter(*CSV_COLUMNS.values())
     lines = [",".join(CSV_COLUMNS)]
-    for p in points:
-        cold, warm = p.budget_4k, p.budget_300k
-        values = (
-            p.omega_bar_mhz,
-            cold.gate_time_us,
-            cold.decay,
-            cold.blockade,
-            cold.two_photon,
-            cold.total,
-            warm.decay,
-            warm.total,
-            cold.residue_phase_rad,
-        )
-        lines.append(",".join(f"{v:.9g}" for v in values))
+    lines += [",".join(f"{v:.9g}" for v in row(p)) for p in points]
     return "\n".join(lines) + "\n"
 
 

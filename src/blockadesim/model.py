@@ -23,11 +23,6 @@ TWO_PI = 2.0 * math.pi
 
 GROUND_LEVELS = ("g0", "g1")
 
-# Largest max|H| * duration a segment may carry, in rad.  Past it the
-# propagator's eigenphases lose precision: the Deutsch gate error rises from
-# 2e-15 to 2e-11 at 3e12 rad and to 3e-5 at 3e15 rad.
-MAX_SEGMENT_PHASE = 1e12
-
 
 def vdw_shift(c6_over_2pi: float, distance: float) -> float:
     """Pair shift C6/d^6 as an angular frequency in rad/us.
@@ -197,8 +192,7 @@ def segment_hamiltonian(
     """Drive terms plus interaction diagonal; Hermitian by construction.
 
     Each coupling's ``rabi/2`` and its conjugate are scattered onto the
-    index pairs of :func:`qcore.coupling_indices`.  Raises ``ValueError``
-    when ``max|H| * duration`` exceeds ``MAX_SEGMENT_PHASE``.
+    index pairs of :func:`qcore.coupling_indices`.
     """
     n = params.n_atoms
     h = np.diag(interaction_diagonal(params, cc_interaction).astype(complex))
@@ -209,10 +203,4 @@ def segment_hamiltonian(
         rows, cols = couplings[tr.atom, qcore.LEVEL_CODE[tr.lower]]
         h[rows, cols] = tr.rabi / 2.0
         h[cols, rows] = np.conj(tr.rabi) / 2.0
-    phase = float(np.abs(h).max()) * segment.duration
-    if phase > MAX_SEGMENT_PHASE:
-        raise ValueError(
-            f"segment phase max|H|*duration = {phase:.3g} rad exceeds "
-            f"{MAX_SEGMENT_PHASE:.0e}; check the spacing and drive amplitudes"
-        )
     return h

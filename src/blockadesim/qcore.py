@@ -29,6 +29,11 @@ _PADE13 = (
 )
 _PADE13_NORM = 5.371920351148152
 
+# Largest max|H| * duration a segment may carry, in rad.  Past it the
+# propagator's eigenphases lose precision: the Deutsch gate error rises from
+# 2e-15 to 2e-11 at 3e12 rad and to 3e-5 at 3e15 rad.
+MAX_SEGMENT_PHASE = 1e12
+
 
 def basis_index(levels: Sequence[str]) -> int:
     """Canonical index of a product basis state, e.g. ("r", "r", "g1") -> 25."""
@@ -74,13 +79,6 @@ def computational_indices(n_atoms: int) -> np.ndarray:
 
 
 @functools.cache
-def rydberg_weights(n_atoms: int) -> np.ndarray:
-    """Number of atoms in ``r`` for every full-space basis index."""
-    in_r = level_codes(n_atoms) == LEVEL_CODE["r"]
-    return _read_only(in_r.sum(axis=0).astype(float))
-
-
-@functools.cache
 def coupling_indices(n_atoms: int) -> np.ndarray:
     """Basis-index pairs that one ``|lower> <-> |r>`` coupling connects.
 
@@ -99,38 +97,6 @@ def coupling_indices(n_atoms: int) -> np.ndarray:
     return _read_only(table)
 
 
-@functools.cache
-def sectors(
-    n_atoms: int, couplings: frozenset[tuple[int, str]]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Blocks of basis states that a set of ``(atom, lower)`` couplings joins.
-
-    A coupling links ``|lower>`` and ``|r>`` of one atom and nothing else, and
-    every other term of a segment Hamiltonian is diagonal, so any Hamiltonian
-    built from these couplings is block-diagonal, and each block is a product
-    of per-atom level groups: ``r`` with the lower levels coupled to it on
-    that atom, and each uncoupled lower level on its own.  Returns
-    ``(index, valid)``: row ``b`` of the ``(n_blocks, m)`` ``index`` holds
-    block ``b``'s basis indices in ascending order, padded to the largest
-    block size ``m`` with index 0 where ``valid`` is False.  Blocks are
-    ordered by their smallest basis index.
-    """
-    joined = np.zeros((n_atoms, 3), dtype=bool)
-    joined[:, LEVEL_CODE["r"]] = True
-    for atom, lower in couplings:
-        joined[atom, LEVEL_CODE[lower]] = True
-    # a block's smallest basis index puts every atom at the lowest level of
-    # its group, and that index labels each state of the block
-    lowest = np.where(joined, joined.argmax(axis=1)[:, None], np.arange(3))
-    codes = np.take_along_axis(lowest, level_codes(n_atoms), axis=1)
-    label = 3 ** np.arange(n_atoms - 1, -1, -1) @ codes
-    _, block, sizes = np.unique(label, return_inverse=True, return_counts=True)
-    valid = np.arange(sizes.max()) < sizes[:, None]
-    index = np.zeros(valid.shape, dtype=np.intp)
-    index[valid] = np.argsort(block, kind="stable")
-    return _read_only(index), _read_only(valid)
-
-
 class SectorLayout(NamedTuple):
     """How a full-space operator maps onto a padded stack of sector blocks.
 
@@ -139,7 +105,8 @@ class SectorLayout(NamedTuple):
     mask order, so ``blocks[..., pairs] = full[..., rows, cols]`` gathers and
     ``full[rows, cols] = blocks[pairs]`` scatters.  ``weights`` is the
     ``(n_blocks, m)`` Rydberg count of each slot (0 in the padding), and
-    ``slot[i]`` the flat ``(n_blocks * m)`` position of basis index ``i``.
+    ``slot[i]`` the flat ``(n_blocks * m)`` position of basis index ``i``,
+    so basis index ``i`` lies in block ``slot[i] // m``.
     """
 
     pairs: np.ndarray
@@ -153,13 +120,36 @@ class SectorLayout(NamedTuple):
 def sector_layout(
     n_atoms: int, couplings: frozenset[tuple[int, str]]
 ) -> SectorLayout:
-    """The :class:`SectorLayout` of :func:`sectors`, computed once per
-    register size and coupling set; every array is read-only."""
-    index, valid = sectors(n_atoms, couplings)
+    """The blocks of basis states that a set of ``(atom, lower)`` couplings
+    joins, as a :class:`SectorLayout` computed once per register size and
+    coupling set; every array is read-only.
+
+    A coupling links ``|lower>`` and ``|r>`` of one atom and nothing else, and
+    every other term of a segment Hamiltonian is diagonal, so any Hamiltonian
+    built from these couplings is block-diagonal, and each block is a product
+    of per-atom level groups: ``r`` with the lower levels coupled to it on
+    that atom, and each uncoupled lower level on its own.  Blocks are ordered
+    by their smallest basis index, and each holds its basis indices in
+    ascending order, padded to the largest block size ``m``.
+    """
+    codes = level_codes(n_atoms)
+    joined = np.zeros((n_atoms, 3), dtype=bool)
+    joined[:, LEVEL_CODE["r"]] = True
+    for atom, lower in couplings:
+        joined[atom, LEVEL_CODE[lower]] = True
+    # a block's smallest basis index puts every atom at the lowest level of
+    # its group, and that index labels each state of the block
+    lowest = np.where(joined, joined.argmax(axis=1)[:, None], np.arange(3))
+    label = 3 ** np.arange(n_atoms - 1, -1, -1) @ np.take_along_axis(lowest, codes, axis=1)
+    _, block, sizes = np.unique(label, return_inverse=True, return_counts=True)
+    valid = np.arange(sizes.max()) < sizes[:, None]
+    index = np.zeros(valid.shape, dtype=np.intp)
+    index[valid] = np.argsort(block, kind="stable")
     pairs = valid[:, :, None] & valid[:, None, :]
     rows = np.broadcast_to(index[:, :, None], pairs.shape)[pairs]
     cols = np.broadcast_to(index[:, None, :], pairs.shape)[pairs]
-    weights = np.where(valid, rydberg_weights(n_atoms)[index], 0.0)
+    in_r = codes == LEVEL_CODE["r"]
+    weights = np.where(valid, in_r.sum(axis=0)[index], 0.0)
     slot = np.empty(3**n_atoms, dtype=np.intp)
     slot[index[valid]] = np.flatnonzero(valid)
     return SectorLayout(*map(_read_only, (pairs, rows, cols, weights, slot)))
@@ -170,7 +160,7 @@ def is_hermitian(matrix: np.ndarray, tol: float = 1e-12) -> bool:
     is at most ``tol``."""
     matrix = np.asarray(matrix)
     scale = max(1.0, float(np.abs(matrix).max())) if matrix.size else 1.0
-    return float(np.abs(matrix - matrix.conj().T).max()) / scale <= tol
+    return float(np.abs(matrix - matrix.conj().swapaxes(-1, -2)).max()) / scale <= tol
 
 
 def unitarity_defect(matrix: np.ndarray) -> float:
@@ -195,17 +185,28 @@ def matrix_exponential(
     eigendecomposition, which is exact per segment; otherwise, as for the
     effective decay term, through one batched :func:`pade_expm`.  A caller
     that already holds ``np.linalg.eigh(hamiltonian)`` passes it as ``eig``
-    (``hermitian`` only), and the result is the same to the bit.
+    (``hermitian`` only), and the result is the same to the bit.  Raises
+    ``ValueError`` when ``max|H| * t`` of any matrix exceeds
+    ``MAX_SEGMENT_PHASE``.
     """
     h = np.asarray(hamiltonian, dtype=complex)
     if h.ndim < 2 or h.shape[-1] != h.shape[-2]:
         raise ValueError(f"expected square matrices, got shape {h.shape}")
-    if not np.all(np.isfinite(h)):
-        raise FloatingPointError("Hamiltonian contains non-finite entries")
     t = np.asarray(duration, dtype=float)
     if not np.all(np.isfinite(t)) or np.any(t < 0):
         raise ValueError(f"durations must be finite and >= 0, got {duration}")
     t = np.broadcast_to(t, h.shape[:-2])
+    scale = np.abs(h).max(axis=(-2, -1), initial=0.0)
+    if not np.all(np.isfinite(scale)):
+        raise FloatingPointError("Hamiltonian contains non-finite entries")
+    with np.errstate(over="ignore"):  # an overflow to inf fails the check
+        phase = float((scale * t).max(initial=0.0))
+    if phase > MAX_SEGMENT_PHASE:
+        raise ValueError(
+            f"segment phase max|H| * duration = {phase:.3g} rad exceeds "
+            f"{MAX_SEGMENT_PHASE:.0e} rad; check the spacing, the drive amplitudes "
+            "and the Rydberg lifetime tau"
+        )
     if eig is not None and (not hermitian or eig[0].shape != h.shape[:-1]):
         raise ValueError("eig must be the eigendecomposition of a Hermitian stack")
     if hermitian:

@@ -12,7 +12,13 @@ import pytest
 from blockadesim.budget import SWEEP_MAX_POINTS
 from blockadesim import cli
 from blockadesim.cli import CSV_COLUMNS, FIELDS, build_parser, main
-from blockadesim.schedule import RATIO_MAX, RATIO_MIN
+from blockadesim.schedule import (
+    RATIO_MAX,
+    RATIO_MIN,
+    DriveParams,
+    cnot_schedule,
+    toffoli_schedule,
+)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
@@ -44,6 +50,16 @@ def test_synth_ratio_two_echoes_angle(tmp_path, capsys):
 def test_synth_toffoli_has_three_segments(tmp_path):
     payload = run_json(tmp_path, "synth.json", ["synth", "--gate", "toffoli"])
     assert len(payload["segments"]) == 3
+
+
+@pytest.mark.parametrize("command", ["synth", "simulate", "budget", "phase"])
+@pytest.mark.parametrize("gate,builder", [("toffoli", toffoli_schedule),
+                                          ("cnot", cnot_schedule)])
+def test_derived_gate_time_is_the_configured_gate_duration(tmp_path, command, gate, builder):
+    # the three-pulse gates last 1.95 us at the defaults, the Deutsch gate 5.66 us
+    payload = run_json(tmp_path, "out.json", [command, "--gate", gate])
+    drive = DriveParams.from_ratio(2.0 * math.pi * 10.0, 2.0 * math.pi * 0.54, 1.0)
+    assert payload["derived"]["gate_time_us"] == builder(drive).total_duration
 
 
 def test_synth_theta_pi_over_two_gives_unit_ratio(tmp_path):

@@ -354,7 +354,7 @@ def reference_evolve(schedule, params, decay_tau=None, cc_interaction="physical"
     full-space exponential per segment, and the closed-form dwell integral
     on the full space, one computational input per column."""
     n = schedule.n_atoms
-    weights = qcore.rydberg_weights(n)
+    weights = np.sum(qcore.level_codes(n) == qcore.LEVEL_CODE["r"], axis=0)
     decay = 0.0 if decay_tau is None else np.diag(-0.5j / decay_tau * weights)
     comp = qcore.computational_indices(n)
     propagator = np.eye(3**n, dtype=complex)
@@ -377,10 +377,13 @@ def reference_evolve(schedule, params, decay_tau=None, cc_interaction="physical"
     return propagator, dict(zip(labels, totals))
 
 
-def schedule_couplings(schedule):
-    return frozenset(
+def schedule_blocks(schedule):
+    """Block of every basis index in the schedule's sector layout."""
+    couplings = frozenset(
         (tr.atom, tr.lower) for seg in schedule.segments for tr in seg.transitions
     )
+    layout = qcore.sector_layout(schedule.n_atoms, couplings)
+    return layout.slot // layout.pairs.shape[-1]
 
 
 def assert_matches_reference(schedule, params, decay_tau, cc, prop_tol, dwell_rtol):
@@ -418,8 +421,7 @@ def _target_only_schedule():
 )
 def test_sector_evolve_follows_the_schedule_couplings(build, sizes, decay_tau):
     schedule = build()
-    _, valid = qcore.sectors(3, schedule_couplings(schedule))
-    assert valid.sum(axis=1).tolist() == sizes
+    assert np.bincount(schedule_blocks(schedule)).tolist() == sizes
     assert_matches_reference(schedule, REF_PARAMS, decay_tau, "physical", 1e-13, 1e-13)
 
 
@@ -437,9 +439,7 @@ def test_sector_evolve_matches_reference_across_the_grid(decay_tau):
 @pytest.mark.parametrize("builder,params", GATES)
 def test_segment_hamiltonians_vanish_off_the_sectors(builder, params, cc):
     schedule = builder(DRIVE)
-    index, valid = qcore.sectors(params.n_atoms, schedule_couplings(schedule))
-    block_of = np.empty(3**params.n_atoms, dtype=int)
-    block_of[index[valid]] = np.nonzero(valid)[0]
+    block_of = schedule_blocks(schedule)
     off_block = block_of[:, None] != block_of[None, :]
     for seg in schedule.segments:
         h = segment_hamiltonian(seg, params, cc_interaction=cc)

@@ -9,7 +9,6 @@ import pytest
 
 from blockadesim import qcore
 from blockadesim.model import (
-    MAX_SEGMENT_PHASE,
     GateSchedule,
     PhysicalParams,
     PulseSegment,
@@ -215,24 +214,31 @@ def test_segment_hamiltonian_matches_kron_reference(n_atoms, cc_interaction):
 
 
 def test_segment_phase_limit():
+    # segment_hamiltonian builds any segment; its exponential checks the phase
+    def propagate(segment, params):
+        h = segment_hamiltonian(segment, params)
+        return qcore.matrix_exponential(h, segment.duration, hermitian=True)
+
     # no interaction: max|H| is |rabi|/2 = 1 rad/us
     free = PhysicalParams(0.0, 6.0, 1590.0, n_atoms=2)
     drive = (Transition(0, "g0", 2.0),)
-    segment_hamiltonian(PulseSegment(drive, MAX_SEGMENT_PHASE), free)
+    propagate(PulseSegment(drive, qcore.MAX_SEGMENT_PHASE), free)
     with pytest.raises(ValueError, match="max\\|H\\|"):
-        segment_hamiltonian(PulseSegment(drive, 2.0 * MAX_SEGMENT_PHASE), free)
+        propagate(PulseSegment(drive, 2.0 * qcore.MAX_SEGMENT_PHASE), free)
     # a 1 nm spacing puts the blockade shift near 4e60 rad/us
     tiny = PhysicalParams(-633.0, 1e-9, 1590.0, n_atoms=3)
     with pytest.raises(ValueError, match="max\\|H\\|"):
-        segment_hamiltonian(PulseSegment((), 1.0), tiny)
+        propagate(PulseSegment((), 1.0), tiny)
     # a control pi pulse at 1e300 MHz: max|H| * duration is pi/2
     omega = TWO_PI * 1e300
     pi_pulse = PulseSegment((Transition(0, "g1", omega),), math.pi / omega)
-    segment_hamiltonian(pi_pulse, REF_PARAMS)
+    propagate(pi_pulse, REF_PARAMS)
     # blockade-limit studies scale C6 by 1e3: about 3e5 rad over a 3.7 us pulse
     strong = REF_PARAMS.with_interaction_scaled(1e3)
-    h = segment_hamiltonian(PulseSegment((Transition(2, "g0", 1.0),), 3.7), strong)
-    assert 1e5 < np.abs(h).max() * 3.7 < MAX_SEGMENT_PHASE
+    segment = PulseSegment((Transition(2, "g0", 1.0),), 3.7)
+    propagate(segment, strong)
+    h = segment_hamiltonian(segment, strong)
+    assert 1e5 < np.abs(h).max() * 3.7 < qcore.MAX_SEGMENT_PHASE
 
 
 def test_transition_validation():

@@ -58,14 +58,6 @@ def test_computational_indices_order():
     assert qcore.computational_labels(2) == ["00", "01", "10", "11"]
 
 
-def test_rydberg_weights():
-    w = qcore.rydberg_weights(3)
-    assert w[0] == 0
-    assert w[qcore.basis_index(("r", "g1", "g0"))] == 1
-    assert w[qcore.basis_index(("r", "r", "g0"))] == 2
-    assert w[26] == 3
-
-
 DEUTSCH_COUPLINGS = frozenset({(0, "g0"), (1, "g0"), (2, "g0"), (2, "g1")})
 CNOT_COUPLINGS = frozenset({(0, "g0"), (1, "g0"), (1, "g1")})
 
@@ -74,13 +66,34 @@ def sector_layout(n_atoms):
     return qcore.sector_layout(n_atoms, DEUTSCH_COUPLINGS)
 
 
+def rydberg_weights(n_atoms):
+    # without couplings every basis state is a block of its own, so the
+    # layout's weights are the Rydberg counts in basis order
+    return qcore.sector_layout(n_atoms, frozenset()).weights
+
+
+def sector_blocks(layout):
+    """Basis indices of each block in slot order, recovered from ``slot``."""
+    m = layout.pairs.shape[-1]
+    order = np.argsort(layout.slot)
+    return np.split(order, np.cumsum(np.bincount(layout.slot // m))[:-1])
+
+
+def test_rydberg_weights():
+    w = rydberg_weights(3)[:, 0]
+    assert w[0] == 0
+    assert w[qcore.basis_index(("r", "g1", "g0"))] == 1
+    assert w[qcore.basis_index(("r", "r", "g0"))] == 2
+    assert w[26] == 3
+
+
 def interaction_diagonal_physical(n_atoms):
     return interaction_diagonal(PhysicalParams(-633.0, 6.0, 1590.0, n_atoms), "physical")
 
 
 @pytest.mark.parametrize(
     "table",
-    [qcore.level_codes, qcore.computational_indices, qcore.rydberg_weights,
+    [qcore.level_codes, qcore.computational_indices, rydberg_weights,
      qcore.coupling_indices, sector_layout, interaction_diagonal_physical],
 )
 def test_register_tables_are_cached_and_read_only(table):
@@ -95,12 +108,10 @@ def test_register_tables_are_cached_and_read_only(table):
     "n_atoms,couplings", [(3, DEUTSCH_COUPLINGS), (2, CNOT_COUPLINGS), (3, frozenset())]
 )
 def test_sector_layout_gathers_and_scatters_the_blocks(n_atoms, couplings):
-    index, valid = qcore.sectors(n_atoms, couplings)
     layout = qcore.sector_layout(n_atoms, couplings)
     dim = 3**n_atoms
     # an operator that is nonzero exactly on the in-block entries
-    block_of = np.empty(dim, dtype=int)
-    block_of[index[valid]] = np.nonzero(valid)[0]
+    block_of = layout.slot // layout.pairs.shape[-1]
     same_block = block_of[:, None] == block_of[None, :]
     full = np.where(same_block, 1.0 + np.arange(dim * dim).reshape(dim, dim), 0.0)
     blocks = np.zeros(layout.pairs.shape)
@@ -108,12 +119,14 @@ def test_sector_layout_gathers_and_scatters_the_blocks(n_atoms, couplings):
     back = np.zeros_like(full)
     back[layout.rows, layout.cols] = blocks[layout.pairs]
     np.testing.assert_array_equal(back, full)
-    flat = np.zeros(valid.size)
-    flat[layout.slot] = np.arange(dim)
-    np.testing.assert_array_equal(flat.reshape(valid.shape)[valid], index[valid])
-    np.testing.assert_array_equal(
-        layout.weights.ravel()[layout.slot], qcore.rydberg_weights(n_atoms)
-    )
+    # slots outside every block are padding: no pair, no weight
+    valid = np.zeros(layout.weights.size, dtype=bool)
+    valid[layout.slot] = True
+    valid = valid.reshape(layout.weights.shape)
+    np.testing.assert_array_equal(layout.pairs, valid[:, :, None] & valid[:, None, :])
+    assert np.all(layout.weights[~valid] == 0)
+    in_r = qcore.level_codes(n_atoms) == qcore.LEVEL_CODE["r"]
+    np.testing.assert_array_equal(layout.weights.ravel()[layout.slot], in_r.sum(axis=0))
 
 
 @pytest.mark.parametrize(
@@ -122,16 +135,15 @@ def test_sector_layout_gathers_and_scatters_the_blocks(n_atoms, couplings):
      (2, frozenset(), [1] * 9)],
 )
 def test_sectors_split_by_controls_in_g1(n_atoms, couplings, sizes):
-    index, valid = qcore.sectors(n_atoms, couplings)
-    assert valid.sum(axis=1).tolist() == sizes
-    members = index[valid]
-    assert sorted(members) == list(range(3**n_atoms))
-    for row, mask in zip(index, valid):
-        assert np.all(np.diff(row[mask]) > 0)
-        assert np.all(row[~mask] == 0)
-    assert qcore.sectors(n_atoms, couplings)[0] is index
+    layout = qcore.sector_layout(n_atoms, couplings)
+    blocks = sector_blocks(layout)
+    assert [len(block) for block in blocks] == sizes
+    assert sorted(np.concatenate(blocks)) == list(range(3**n_atoms))
+    for block in blocks:
+        assert np.all(np.diff(block) > 0)
+    assert qcore.sector_layout(n_atoms, couplings) is layout
     with pytest.raises(ValueError):
-        index[0, 0] = 5
+        layout.slot[0] = 5
 
 
 @pytest.mark.parametrize("n_atoms", [1, 2, 3, 4])
@@ -147,13 +159,13 @@ def test_sectors_are_the_connected_components_of_any_coupling_set(n_atoms):
             reach[rows, cols] = reach[cols, rows] = True
         for _ in range(dim.bit_length()):
             reach = (reach.astype(int) @ reach.astype(int)) > 0
-        index, valid = qcore.sectors(n_atoms, couplings)
+        blocks = sector_blocks(qcore.sector_layout(n_atoms, couplings))
         same_block = np.zeros((dim, dim), dtype=bool)
-        for row, mask in zip(index, valid):
-            same_block[np.ix_(row[mask], row[mask])] = True
+        for block in blocks:
+            same_block[np.ix_(block, block)] = True
         assert np.array_equal(same_block, reach), sorted(couplings)
         # blocks come in the order of their first basis index
-        assert np.all(np.diff(index[:, 0]) > 0), sorted(couplings)
+        assert np.all(np.diff([block[0] for block in blocks]) > 0), sorted(couplings)
 
 
 def test_matrix_exponential_requires_the_hermitian_keyword():
@@ -303,6 +315,37 @@ def test_hermitian_checks():
     h = np.array([[1.0, 1j], [-1j, 2.0]])
     assert qcore.is_hermitian(h)
     assert not qcore.is_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("shape", [(5, 4, 12, 12), (3, 6, 6), (4, 4, 4)])
+def test_is_hermitian_checks_each_matrix_of_a_stack(shape):
+    # an (m, m, m) array must not be transposed across the stack axis
+    rng = np.random.default_rng(len(shape))
+    raw = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    stack = raw + raw.conj().swapaxes(-1, -2)
+    assert qcore.is_hermitian(stack)
+    perturbed = stack.copy()
+    perturbed[(-1,) * (len(shape) - 2) + (0, 1)] += 1e-6
+    assert not qcore.is_hermitian(perturbed)
+    # a[i, j, k] = i + 10 j + k equals its full axis reversal, but no slice
+    # a[i] is symmetric
+    i, j, k = np.indices((4, 4, 4))
+    assert not qcore.is_hermitian(i + 10.0 * j + k)
+
+
+@pytest.mark.parametrize("hermitian", [True, False])
+def test_matrix_exponential_checks_the_phase_of_each_matrix(hermitian):
+    # max|H| is 1 rad/us in every matrix; only the last one's duration is over
+    h = np.zeros((3, 2, 2), dtype=complex)
+    h[:, 0, 1] = h[:, 1, 0] = 1.0
+    durations = np.array([1.0, qcore.MAX_SEGMENT_PHASE, 2.0 * qcore.MAX_SEGMENT_PHASE])
+    with pytest.raises(ValueError, match="max\\|H\\|"):
+        qcore.matrix_exponential(h, durations, hermitian=hermitian)
+    assert qcore.matrix_exponential(h[:2], durations[:2], hermitian=hermitian).shape == (2, 2, 2)
+    # so is a larger entry in one matrix of a stack with shared durations
+    h[1, 0, 0] = 1e13
+    with pytest.raises(ValueError, match="max\\|H\\|"):
+        qcore.matrix_exponential(h[:2], 1.0, hermitian=hermitian)
 
 
 def test_embedded_operators_commute_on_distinct_atoms():
