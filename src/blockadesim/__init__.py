@@ -10,7 +10,6 @@ from .budget import (
     decay_error,
     dwell_table,
     error_budget,
-    gate_time,
     sweep,
     total_error,
     two_photon_error,
@@ -34,7 +33,6 @@ from .schedule import (
     cnot_schedule,
     deutsch_schedule,
     omegas_from_theta,
-    phase_phi,
     solve_phase_matching,
     theta_from_omegas,
     toffoli_schedule,
@@ -64,9 +62,7 @@ __all__ = [
     "error_budget",
     "evolve",
     "gate_fidelity",
-    "gate_time",
     "omegas_from_theta",
-    "phase_phi",
     "segment_hamiltonian",
     "solve_phase_matching",
     "sweep",

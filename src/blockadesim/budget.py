@@ -1,18 +1,24 @@
-"""Analytic error budget for the five-pulse protocol and parameter sweeps.
+"""Analytic error budget of the Deutsch, Toffoli or CNOT gate and parameter
+sweeps.
 
 Three error mechanisms are budgeted: Rydberg decay (mean dwell time over
 lifetime), the residue control-control shift that hampers the simultaneous
 control excitation, and population leakage through blockade-shift two-photon
-transitions.  All formulas are closed-form, so sweeps are instantaneous.
+transitions.  The budget, the sweep and the dwell, decay and two-photon
+terms take the gate (``gate="deutsch"`` by default) and read its segment
+durations from :func:`schedule.segment_durations`, the one place they are
+written down; the residue terms read ``PhysicalParams.control_residue``.  All
+formulas are closed-form, so sweeps are instantaneous.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .model import PhysicalParams
-from .schedule import SQRT2, DriveParams, phase_phi
+from .qcore import computational_labels
+from .schedule import GATE_ATOMS, SQRT2, DriveParams, residue_phase, segment_durations
 
 TWO_PI = 2.0 * math.pi
 
@@ -21,9 +27,15 @@ TAU_BY_TEMPERATURE = {"4.2K": 1590.0, "300K": 313.0}
 
 SWEEP_MAX_OMEGA_BAR_MHZ = 2.3
 
-# Largest grid sweep_grid builds.  A full sweep costs about 26 us and 1 KB
-# per point, so this is about 2.6 s and 100 MB.
+# Largest grid sweep_grid builds.  A full sweep costs about 35 us and 0.8 KB
+# per point (2 vCPUs, Python 3.11), so this is about 3.5 s and 80 MB.
 SWEEP_MAX_POINTS = 100_000
+
+# (label, number of controls in g0, target bit) of each computational input
+_INPUTS = {
+    n: [(label, label[:-1].count("0"), int(label[-1])) for label in computational_labels(n)]
+    for n in set(GATE_ATOMS.values())
+}
 
 
 @dataclass(frozen=True)
@@ -44,49 +56,45 @@ class ErrorBudget:
         return self.decay + self.blockade + self.two_photon
 
 
-def gate_time(drive: DriveParams) -> float:
-    """Minimal five-pulse gate time 2pi (1/w0 + 2/wbar + 1/(sqrt(2) w3)), us."""
-    return TWO_PI * (
-        1.0 / drive.omega0
-        + 2.0 / drive.omega_bar
-        + 1.0 / (SQRT2 * drive.omega3)
-    )
+def control_dwell(drive: DriveParams, gate: str = "deutsch") -> float:
+    """Rydberg time of one control excited through the gate: half of each
+    control pulse plus the interior, us."""
+    durations = segment_durations(gate, drive)
+    return 0.5 * (durations[0] + durations[-1]) + sum(durations[1:-1])
 
 
-def control_dwell(drive: DriveParams) -> float:
-    """Rydberg time of one control excited for the whole interior:
-    pi/w0 + 2 * 2pi/wbar + sqrt(2) pi/w3, us."""
-    return (
-        math.pi / drive.omega0
-        + 4.0 * math.pi / drive.omega_bar
-        + SQRT2 * math.pi / drive.omega3
-    )
+def dwell_table(drive: DriveParams, gate: str = "deutsch") -> dict[str, float]:
+    """Closed-form Rydberg dwell time (us) of each computational input, in
+    the perfect-blockade limit.
 
-
-def dwell_table(drive: DriveParams) -> dict[str, float]:
-    """Closed-form Rydberg dwell time (us) for each computational input."""
-    t_x = control_dwell(drive)
-    wbar = drive.omega_bar
-    u2 = (drive.omega1 / wbar) ** 2
-    v2 = (drive.omega2 / wbar) ** 2
-    tail = math.pi / (2.0 * SQRT2 * drive.omega3)
-    t_110 = (math.pi / wbar) * (u2 + v2 * (v2 - 3.0 * u2) ** 2) + tail
-    t_111 = (math.pi / wbar) * (v2 + u2 * (u2 - 3.0 * v2) ** 2) + tail
+    An input with k controls in g0 holds k controls in r through the gate,
+    k times :func:`control_dwell`, and blockades the target.  With every
+    control in g1 only the target pulses act: the swap pulse that ends each
+    gate gives a quarter of its duration, sqrt(2) pi/(4 w3), and the two
+    Deutsch ratio pulses add (pi/wbar)(u2 + v2 (v2 - 3 u2)^2) to target 0
+    (u and v swapped for target 1), with u2 = (w1/wbar)^2, v2 = (w2/wbar)^2.
+    """
+    t_x = control_dwell(drive, gate)
+    durations = segment_durations(gate, drive)
+    tail = durations[-2] / 4.0
+    target_rows = (tail, tail)
+    if gate == "deutsch":
+        half, wbar = durations[1] / 2.0, drive.omega_bar  # half = pi / wbar
+        u2 = (drive.omega1 / wbar) ** 2
+        v2 = (drive.omega2 / wbar) ** 2
+        target_rows = (
+            half * (u2 + v2 * (v2 - 3.0 * u2) ** 2) + tail,
+            half * (v2 + u2 * (u2 - 3.0 * v2) ** 2) + tail,
+        )
     return {
-        "000": 2.0 * t_x,
-        "001": 2.0 * t_x,
-        "010": t_x,
-        "011": t_x,
-        "100": t_x,
-        "101": t_x,
-        "110": t_110,
-        "111": t_111,
+        label: excited * t_x if excited else target_rows[bit]
+        for label, excited, bit in _INPUTS[GATE_ATOMS[gate]]
     }
 
 
 def avg_dwell(drive: DriveParams) -> float:
-    """Mean dwell over the eight inputs:
-    T_x + pi/(4 wbar) + pi/(8 sqrt(2) w3), us.
+    """The paper's closed form of the mean Deutsch dwell over the eight
+    inputs: T_x + pi/(4 wbar) + pi/(8 sqrt(2) w3), us.
 
     Equality with the mean of :func:`dwell_table` rests on the identity
     w2^2 (w2^2 - 3 w1^2)^2 + w1^2 (w1^2 - 3 w2^2)^2 = (w1^2 + w2^2)^3.
@@ -98,38 +106,48 @@ def avg_dwell(drive: DriveParams) -> float:
     )
 
 
-def decay_error(drive: DriveParams, tau: float) -> float:
-    """Decay probability averaged over inputs: mean dwell / tau."""
+def _decay(mean_dwell: float, tau: float) -> float:
     if not tau > 0:
         raise ValueError(f"tau must be > 0, got {tau}")
-    return avg_dwell(drive) / tau
+    return mean_dwell / tau
 
 
-def blockade_error(v: float, omega0: float) -> float:
-    """Imperfect simultaneous control excitation: 2 (v/64)^2 / omega0^2."""
+def decay_error(drive: DriveParams, tau: float, gate: str = "deutsch") -> float:
+    """Decay probability averaged over inputs: mean dwell / tau."""
+    table = dwell_table(drive, gate)
+    return _decay(sum(table.values()) / len(table), tau)
+
+
+def blockade_error(residue: float, omega0: float) -> float:
+    """Imperfect simultaneous control excitation under the control-control
+    shift ``residue`` (rad/us): 2 residue^2 / omega0^2."""
     if not omega0 > 0:
         raise ValueError(f"omega0 must be > 0, got {omega0}")
-    return 2.0 * (v / 64.0) ** 2 / omega0**2
+    return 2.0 * residue**2 / omega0**2
 
 
-def two_photon_error(drive: DriveParams, v: float) -> float:
-    """Mean population loss through the six blockade-shift two-photon
-    transitions.
+def two_photon_error(drive: DriveParams, v: float, gate: str = "deutsch") -> float:
+    """Mean population loss through the blockade-shift two-photon
+    transitions of the target pulses.
 
-    The doubly excited-control rows see an effective detuning of 4v, the
-    singly excited rows see 2v.  The residue correction v/32 to the 4v is
+    Half of the inputs, on either register, have one control in r and see
+    an effective detuning of 2v (the weak rows); with two controls a quarter
+    have both in r and see 4v (the strong rows).  Each target pulse gives one
+    row of each kind: the swap pulse, and for the Deutsch gate the two ratio
+    pulses, which share one phase.  The residue correction v/32 to the 4v is
     dropped: it is 1/128 of that detuning and moves only the quarter-weight
     strong-row term.
     """
     if v == 0:
         raise ValueError("v must be nonzero")
-    t_lambda = 2.0 * math.pi / drive.omega_bar
-    t_swap = SQRT2 * math.pi / drive.omega3
-    strong = 4.0 * v
-    product = drive.omega1 * drive.omega2
-    strong_args = (product * t_lambda / strong, drive.omega3**2 * t_swap / (2.0 * strong))
-    weak_args = (product * t_lambda / (2.0 * v), drive.omega3**2 * t_swap / (4.0 * v))
-    if not all(math.isfinite(x) for x in strong_args + weak_args):
+    durations = segment_durations(gate, drive)
+    # each row's phase times its detuning: the ratio pulses, then the swap
+    products = (drive.omega3**2 * durations[-2] / 2.0,)
+    if gate == "deutsch":
+        products = (drive.omega1 * drive.omega2 * durations[1], *products)
+    strong_args = [x / (4.0 * v) for x in products] if GATE_ATOMS[gate] == 3 else []
+    weak_args = [x / (2.0 * v) for x in products]
+    if not all(map(math.isfinite, strong_args + weak_args)):
         raise ValueError(
             f"two-photon phase is not finite: the blockade shift {v:.3g} rad/us "
             "is too small for the drive"
@@ -140,32 +158,41 @@ def two_photon_error(drive: DriveParams, v: float) -> float:
 
 
 def error_budget(
-    drive: DriveParams, params: PhysicalParams, tau: float
+    drive: DriveParams, params: PhysicalParams, tau: float, gate: str = "deutsch"
 ) -> ErrorBudget:
-    """Assemble the full analytic budget at an explicit lifetime (us)."""
-    v = params.blockade
+    """Assemble the gate's analytic budget at an explicit lifetime (us).
+
+    ``params`` must describe the gate's register (three atoms, two for the
+    CNOT); :func:`schedule.residue_phase` raises ``ValueError`` otherwise.
+    """
+    durations = segment_durations(gate, drive)
+    table = dwell_table(drive, gate)
+    mean_dwell = sum(table.values()) / len(table)
     return ErrorBudget(
-        gate_time_us=gate_time(drive),
-        control_dwell_us=control_dwell(drive),
-        mean_rydberg_time_us=avg_dwell(drive),
-        residue_phase_rad=phase_phi(drive, v),
-        decay=decay_error(drive, tau),
-        blockade=blockade_error(v, drive.omega0),
-        two_photon=two_photon_error(drive, v),
+        gate_time_us=sum(durations),
+        control_dwell_us=control_dwell(drive, gate),
+        mean_rydberg_time_us=mean_dwell,
+        residue_phase_rad=residue_phase(gate, drive, params),
+        decay=_decay(mean_dwell, tau),
+        blockade=blockade_error(params.control_residue, drive.omega0),
+        two_photon=two_photon_error(drive, params.blockade, gate),
     )
 
 
 def total_error(
-    drive: DriveParams, params: PhysicalParams, temperature: str
+    drive: DriveParams, params: PhysicalParams, temperature: str, gate: str = "deutsch"
 ) -> ErrorBudget:
     """Budget with the lifetime picked by temperature ("4.2K" or "300K")."""
+    return error_budget(drive, params, _lifetime(temperature), gate)
+
+
+def _lifetime(temperature: str) -> float:
     try:
-        tau = TAU_BY_TEMPERATURE[temperature]
+        return TAU_BY_TEMPERATURE[temperature]
     except KeyError:
         raise ValueError(
             f"temperature must be one of {sorted(TAU_BY_TEMPERATURE)}, got {temperature!r}"
         ) from None
-    return error_budget(drive, params, tau)
 
 
 @dataclass(frozen=True)
@@ -208,8 +235,9 @@ def sweep(
     step_mhz: float = 0.02,
     omega0: float = TWO_PI * 10.0,
     ratio: float = 2.0,
+    gate: str = "deutsch",
 ) -> list[SweepPoint]:
-    """Budget sweep over omega_bar with omega3 = omega_bar/sqrt(2).
+    """Budget sweep of the gate over omega_bar with omega3 = omega_bar/sqrt(2).
 
     Points are deterministic and ordered ascending in omega_bar.
     """
@@ -217,14 +245,10 @@ def sweep(
     for f_mhz in sweep_grid(start_mhz, stop_mhz, step_mhz):
         omega_bar = TWO_PI * f_mhz
         drive = DriveParams.from_ratio(omega0, omega_bar, ratio)
-        points.append(
-            SweepPoint(
-                omega_bar_mhz=f_mhz,
-                drive=drive,
-                budget_4k=error_budget(drive, params, TAU_BY_TEMPERATURE["4.2K"]),
-                budget_300k=error_budget(drive, params, TAU_BY_TEMPERATURE["300K"]),
-            )
-        )
+        cold = error_budget(drive, params, TAU_BY_TEMPERATURE["4.2K"], gate)
+        # the 300 K budget differs in the decay term alone
+        warm = replace(cold, decay=_decay(cold.mean_rydberg_time_us, TAU_BY_TEMPERATURE["300K"]))
+        points.append(SweepPoint(f_mhz, drive, cold, warm))
     return points
 
 
@@ -232,10 +256,6 @@ def argmin_total(points: list[SweepPoint], temperature: str) -> SweepPoint:
     """Sweep point with the smallest total error at the given temperature."""
     if not points:
         raise ValueError("empty sweep")
-    if temperature == "4.2K":
-        return min(points, key=lambda p: p.budget_4k.total)
-    if temperature == "300K":
-        return min(points, key=lambda p: p.budget_300k.total)
-    raise ValueError(
-        f"temperature must be one of {sorted(TAU_BY_TEMPERATURE)}, got {temperature!r}"
-    )
+    _lifetime(temperature)  # checks the name
+    field = "budget_4k" if temperature == "4.2K" else "budget_300k"
+    return min(points, key=lambda p: getattr(p, field).total)

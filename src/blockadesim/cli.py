@@ -27,7 +27,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from operator import attrgetter
 
 from . import __version__
@@ -39,23 +39,22 @@ from .budget import (
 )
 from .evolve import SimulationOptions, evolve
 from .ideal import cnot_ideal, deutsch_ideal, gate_fidelity, toffoli_ideal
-from .model import GateSchedule, PhysicalParams
+from .model import PhysicalParams
 from .qcore import unitarity_defect
 from .schedule import (
+    GATE_ATOMS,
     RATIO_MAX,
     RATIO_MIN,
-    SQRT2,
     DriveParams,
     cnot_schedule,
     deutsch_schedule,
-    phase_phi,
+    residue_phase,
+    segment_durations,
     solve_phase_matching,
     toffoli_schedule,
 )
 
 TWO_PI = 2.0 * math.pi
-
-GATES = ("deutsch", "toffoli", "cnot")
 
 
 @dataclass(frozen=True)
@@ -84,7 +83,7 @@ class Field:
 # The one list of config keys, in flag order.  Defaults, the file merge,
 # the flags, the checks and the echoed config all come from it.
 FIELDS = (
-    Field("gate", "deutsch", "choice", "--gate", "gate kind", choices=GATES),
+    Field("gate", "deutsch", "choice", "--gate", "gate kind", choices=tuple(GATE_ATOMS)),
     Field("theta_rad", None, "finite", "--theta-rad",
           "deutsch angle in radians (alternative to --ratio)", nullable=True),
     Field("ratio_omega2_over_omega1", None, "positive", "--ratio",
@@ -253,12 +252,13 @@ def build_drive(cfg: dict) -> DriveParams:
     return DriveParams.from_ratio(omega0, omega_bar, ratio, omega3)
 
 
-def build_params(cfg: dict, n_atoms: int) -> PhysicalParams:
+def build_params(cfg: dict) -> PhysicalParams:
+    """The register of the configured gate."""
     params = PhysicalParams(
         c6_over_2pi=cfg["c6_GHz_um6"],
         spacing=cfg["L_um"],
         lifetime=resolve_tau(cfg),
-        n_atoms=n_atoms,
+        n_atoms=GATE_ATOMS[cfg["gate"]],
     )
     v_scale = cfg["options"]["v_scale"]
     if v_scale != 1.0:
@@ -289,12 +289,9 @@ def build_options(cfg: dict) -> SimulationOptions:
     )
 
 
-def derived_block(
-    cfg: dict, drive: DriveParams, params: PhysicalParams, schedule: GateSchedule
-) -> dict:
-    theta = drive.theta if cfg["gate"] != "cnot" else None
+def derived_block(cfg: dict, drive: DriveParams, params: PhysicalParams) -> dict:
     return {
-        "theta_rad": theta,
+        "theta_rad": drive.theta if cfg["gate"] != "cnot" else None,
         "ratio_omega2_over_omega1": drive.omega2 / drive.omega1,
         "omega1_MHz": drive.omega1 / TWO_PI,
         "omega2_MHz": drive.omega2 / TWO_PI,
@@ -303,7 +300,7 @@ def derived_block(
         "blockade_V_MHz": params.blockade / TWO_PI,
         "control_residue_MHz": params.control_residue / TWO_PI,
         "tau_us": resolve_tau(cfg),
-        "gate_time_us": schedule.total_duration,
+        "gate_time_us": sum(segment_durations(cfg["gate"], drive)),
     }
 
 
@@ -332,24 +329,35 @@ def _emit(artifact: dict | str, out_path: str | None, summary: str) -> None:
         sys.stdout.write(artifact)
 
 
-def _format_transition(tr) -> str:
-    magnitude = abs(tr.rabi) / TWO_PI
-    phase_deg = math.degrees(math.atan2(tr.rabi.imag, tr.rabi.real))
-    return (
-        f"atom {tr.atom}  {tr.lower}<->r  |Omega|/2pi = {magnitude:.6f} MHz"
-        f"  phase = {phase_deg:+7.1f} deg"
-    )
+def _transition_record(tr) -> dict:
+    return {
+        "atom": tr.atom,
+        "lower": tr.lower,
+        "rabi_MHz_re": tr.rabi.real / TWO_PI,
+        "rabi_MHz_im": tr.rabi.imag / TWO_PI,
+        "magnitude_MHz": abs(tr.rabi) / TWO_PI,
+        "phase_deg": math.degrees(math.atan2(tr.rabi.imag, tr.rabi.real)),
+    }
 
 
 def cmd_synth(cfg: dict, drive: DriveParams, out: str | None) -> None:
-    schedule = gate_functions(cfg["gate"])[0](drive)
-    params = build_params(cfg, schedule.n_atoms)
-    derived = derived_block(cfg, drive, params, schedule)
-    v = params.blockade
-    phi = phase_phi(drive, v)
+    gate = cfg["gate"]
+    schedule = gate_functions(gate)[0](drive)
+    params = build_params(cfg)
+    derived = derived_block(cfg, drive, params)
+    phi = residue_phase(gate, drive, params)
+    # a gate without a residue phase has nothing to match
     matches = [
-        {"N": n, "omega_bar_MHz": solve_phase_matching(n, v) / TWO_PI}
-        for n in range(1, 7)
+        {"N": n, "omega_bar_MHz": solve_phase_matching(n, gate, params) / TWO_PI}
+        for n in (range(1, 7) if phi else ())
+    ]
+    segments = [
+        {
+            "index": i,
+            "duration_us": seg.duration,
+            "transitions": [_transition_record(tr) for tr in seg.transitions],
+        }
+        for i, seg in enumerate(schedule.segments, start=1)
     ]
 
     lines = [
@@ -361,14 +369,17 @@ def cmd_synth(cfg: dict, drive: DriveParams, out: str | None) -> None:
             f"theta = {derived['theta_rad']:.9f} rad "
             f"(ratio omega2/omega1 = {derived['ratio_omega2_over_omega1']:.9f})"
         )
-    for i, seg in enumerate(schedule.segments, start=1):
-        lines.append(f"segment {i}: {seg.duration:.6f} us")
-        for tr in seg.transitions:
-            lines.append("  " + _format_transition(tr))
+    for seg in segments:
+        lines.append(f"segment {seg['index']}: {seg['duration_us']:.6f} us")
+        lines += [
+            f"  atom {t['atom']}  {t['lower']}<->r  |Omega|/2pi = {t['magnitude_MHz']:.6f} MHz"
+            f"  phase = {t['phase_deg']:+7.1f} deg"
+            for t in seg["transitions"]
+        ]
     lines.append(f"residue phase phi = {phi:.6f} rad ({phi / math.pi:.4f} pi)")
     lines.append(
         "phase-matched omega_bar/2pi (MHz): "
-        + ", ".join(f"N={m['N']}: {m['omega_bar_MHz']:.6f}" for m in matches)
+        + (", ".join(f"N={m['N']}: {m['omega_bar_MHz']:.6f}" for m in matches) or "none")
     )
     listing = "\n".join(lines)
 
@@ -377,24 +388,7 @@ def cmd_synth(cfg: dict, drive: DriveParams, out: str | None) -> None:
         "derived": derived,
         "phi_rad": phi,
         "phase_matching": matches,
-        "segments": [
-            {
-                "index": i,
-                "duration_us": seg.duration,
-                "transitions": [
-                    {
-                        "atom": tr.atom,
-                        "lower": tr.lower,
-                        "rabi_MHz_re": tr.rabi.real / TWO_PI,
-                        "rabi_MHz_im": tr.rabi.imag / TWO_PI,
-                        "magnitude_MHz": abs(tr.rabi) / TWO_PI,
-                        "phase_deg": math.degrees(math.atan2(tr.rabi.imag, tr.rabi.real)),
-                    }
-                    for tr in seg.transitions
-                ],
-            }
-            for i, seg in enumerate(schedule.segments, start=1)
-        ],
+        "segments": segments,
     }
     _emit(payload, out, listing)
 
@@ -402,7 +396,7 @@ def cmd_synth(cfg: dict, drive: DriveParams, out: str | None) -> None:
 def cmd_simulate(cfg: dict, drive: DriveParams, out: str | None) -> None:
     build_schedule, ideal_gate = gate_functions(cfg["gate"])
     schedule = build_schedule(drive)
-    params = build_params(cfg, schedule.n_atoms)
+    params = build_params(cfg)
     options = build_options(cfg)
     result = evolve(schedule, params, options)
 
@@ -412,7 +406,7 @@ def cmd_simulate(cfg: dict, drive: DriveParams, out: str | None) -> None:
 
     payload = {
         "config": cfg,
-        "derived": derived_block(cfg, drive, params, schedule),
+        "derived": derived_block(cfg, drive, params),
         "fidelity": {"state_average": fid_avg, "trace": fid_trace},
         "infidelity_state_average": 1.0 - fid_avg,
         "leakage_per_input": result.leakage_per_input,
@@ -432,13 +426,12 @@ def cmd_simulate(cfg: dict, drive: DriveParams, out: str | None) -> None:
 
 
 def cmd_budget(cfg: dict, drive: DriveParams, out: str | None) -> None:
-    schedule = gate_functions(cfg["gate"])[0](drive)
-    params = build_params(cfg, 3)
+    params = build_params(cfg)
     tau = resolve_tau(cfg)
-    b = error_budget(drive, params, tau)
+    b = error_budget(drive, params, tau, cfg["gate"])
     payload = {
         "config": cfg,
-        "derived": derived_block(cfg, drive, params, schedule),
+        "derived": derived_block(cfg, drive, params),
         "temperature": cfg["temperature"] if cfg["tau_us"] is None else None,
         "tau_us": tau,
         "budget": {**asdict(b), "total": b.total},
@@ -452,29 +445,19 @@ def cmd_budget(cfg: dict, drive: DriveParams, out: str | None) -> None:
 
 
 def cmd_phase(cfg: dict, drive: DriveParams, out: str | None) -> None:
-    schedule = gate_functions(cfg["gate"])[0](drive)
-    params = build_params(cfg, 3)
-    v = params.blockade
-    phi = phase_phi(drive, v)
+    gate = cfg["gate"]
+    params = build_params(cfg)
+    phi = residue_phase(gate, drive, params)
     solutions = []
-    for n in range(1, 9):
-        omega_bar = solve_phase_matching(n, v)
-        matched = replace(
-            drive,
-            omega1=drive.omega1 * omega_bar / drive.omega_bar,
-            omega2=drive.omega2 * omega_bar / drive.omega_bar,
-            omega3=omega_bar / SQRT2,
-        )
-        solutions.append(
-            {
-                "N": n,
-                "omega_bar_MHz": omega_bar / TWO_PI,
-                "phi_rad": phase_phi(matched, v),
-            }
-        )
+    for n in range(1, 9) if phi else ():
+        omega_bar = solve_phase_matching(n, gate, params)
+        # the sweep's drive at the matched omega_bar
+        matched = DriveParams.from_ratio(drive.omega0, omega_bar, drive.omega2 / drive.omega1)
+        solutions.append({"N": n, "omega_bar_MHz": omega_bar / TWO_PI,
+                          "phi_rad": residue_phase(gate, matched, params)})
     payload = {
         "config": cfg,
-        "derived": derived_block(cfg, drive, params, schedule),
+        "derived": derived_block(cfg, drive, params),
         "phi_rad": phi,
         "phi_over_pi": phi / math.pi,
         "matched_solutions": solutions,
@@ -505,7 +488,7 @@ def _csv_text(points) -> str:
 
 
 def cmd_sweep(cfg: dict, drive: DriveParams, out: str | None) -> None:
-    params = build_params(cfg, 3)
+    params = build_params(cfg)
     ratio = drive.omega2 / drive.omega1
     grid = cfg["sweep"]
     points = sweep(
@@ -515,6 +498,7 @@ def cmd_sweep(cfg: dict, drive: DriveParams, out: str | None) -> None:
         step_mhz=grid["step_MHz"],
         omega0=TWO_PI * cfg["omega0_MHz"],
         ratio=ratio,
+        gate=cfg["gate"],
     )
     csv_text = _csv_text(points)
 

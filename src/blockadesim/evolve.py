@@ -213,10 +213,8 @@ def evolve(
     # span between the two control pulses.  The simulated phase additionally
     # contains the ramp-through contribution of the control pulses themselves,
     # which is reported, not corrected.
-    residue = 0.0
-    if opts.cc_interaction == "physical":
-        residue = params.control_residue
-    phase_correction = -schedule.interior_duration * residue
+    residue = params.control_residue if opts.cc_interaction == "physical" else 0.0
+    phase_correction = 0.0 - schedule.interior_duration * residue  # +0.0 without residue
     simulated_phase = float(np.angle(propagator[comp[0], comp[0]]))
     phase_mismatch = _wrap_angle(simulated_phase - phase_correction)
     if opts.frame_correction and phase_correction != 0.0:

@@ -1,8 +1,10 @@
 """Pulse-schedule synthesis for the Deutsch, Toffoli, and CNOT protocols.
 
-Also maps the gate angle theta to the Rabi ratio Omega2/Omega1 and back, and
-solves the phase-matching condition that cancels the residue-shift phase on
-the doubly excited controls.
+:func:`segment_durations` is the one place the segment durations of the
+three schedules are written down; the builders, the analytic budget and the
+CLI read them from it.  Also maps the gate angle theta to the Rabi ratio
+Omega2/Omega1 and back, and gives the residue-shift phase on the doubly
+excited controls and the drives whose phase is a whole number of turns.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import GateSchedule, PulseSegment, Transition
+from .model import GateSchedule, PhysicalParams, PulseSegment, Transition
 
 SQRT2 = math.sqrt(2.0)
 
@@ -108,91 +110,88 @@ def omegas_from_theta(theta: float, omega_bar: float) -> tuple[float, float]:
     return omega_bar * math.cos(angle), omega_bar * math.sin(angle)
 
 
-def deutsch_schedule(drive: DriveParams) -> GateSchedule:
-    """Five-pulse schedule: control pi pulse, three target pulses, control -pi.
+# Register size of each gate kind: two controls and the target, or one
+# control and the target (the target is the last atom).
+GATE_ATOMS = {"deutsch": 3, "toffoli": 3, "cnot": 2}
 
-    Segment durations are (pi/w0, 2pi/wbar, 2pi/wbar, sqrt(2)pi/w3, pi/w0).
+
+def segment_durations(gate: str, drive: DriveParams) -> tuple[float, ...]:
+    """Segment durations of a gate's schedule, us: the control pi pulse, the
+    target pulses, the control -pi pulse.
+
+    Deutsch: (pi/w0, 2pi/wbar, 2pi/wbar, sqrt(2)pi/w3, pi/w0); Toffoli and
+    CNOT drop the two ratio pulses: (pi/w0, sqrt(2)pi/w3, pi/w0).
     """
     t_control = math.pi / drive.omega0
-    t_lambda = 2.0 * math.pi / drive.omega_bar
     t_swap = SQRT2 * math.pi / drive.omega3
-    segments = (
-        PulseSegment(
-            (Transition(0, "g0", drive.omega0), Transition(1, "g0", drive.omega0)),
-            t_control,
-        ),
-        PulseSegment(
-            (
-                Transition(2, "g0", drive.omega1),
-                Transition(2, "g1", 1j * drive.omega2),
-            ),
-            t_lambda,
-        ),
-        PulseSegment(
-            (
-                Transition(2, "g0", drive.omega2),
-                Transition(2, "g1", 1j * drive.omega1),
-            ),
-            t_lambda,
-        ),
-        PulseSegment(
-            (
-                Transition(2, "g0", drive.omega3),
-                Transition(2, "g1", -drive.omega3),
-            ),
-            t_swap,
-        ),
-        PulseSegment(
-            (Transition(0, "g0", -drive.omega0), Transition(1, "g0", -drive.omega0)),
-            t_control,
-        ),
+    if gate == "deutsch":
+        t_lambda = 2.0 * math.pi / drive.omega_bar
+        return (t_control, t_lambda, t_lambda, t_swap, t_control)
+    if gate in GATE_ATOMS:
+        return (t_control, t_swap, t_control)
+    raise ValueError(f"gate must be one of {tuple(GATE_ATOMS)}, got {gate!r}")
+
+
+def residue_phase(gate: str, drive: DriveParams, params: PhysicalParams) -> float:
+    """Residue phase on the doubly excited controls between the control
+    pulses: -T_interior * params.control_residue, rad (zero for the CNOT).
+    ``params`` must describe the gate's register."""
+    interior = sum(segment_durations(gate, drive)[1:-1])
+    if params.n_atoms != GATE_ATOMS[gate]:
+        raise ValueError(
+            f"the {gate} gate needs {GATE_ATOMS[gate]} atoms, params have {params.n_atoms}"
+        )
+    # 0.0 - x rather than -x, so that a zero residue gives +0.0
+    return 0.0 - interior * params.control_residue
+
+
+def _schedule(gate: str, drive: DriveParams, ratio_pulses=()) -> GateSchedule:
+    """Control pi pulse on every control's g0, the target pulses (the
+    ``ratio_pulses``, then the equal-magnitude opposite-phase swap pulse),
+    control -pi pulse.  The target is the last atom."""
+    target = GATE_ATOMS[gate] - 1
+    couplings = (
+        tuple(Transition(atom, "g0", drive.omega0) for atom in range(target)),
+        *ratio_pulses,
+        (Transition(target, "g0", drive.omega3), Transition(target, "g1", -drive.omega3)),
+        tuple(Transition(atom, "g0", -drive.omega0) for atom in range(target)),
     )
-    return GateSchedule(segments, "deutsch", 3)
+    segments = zip(couplings, segment_durations(gate, drive), strict=True)
+    return GateSchedule(tuple(PulseSegment(c, t) for c, t in segments), gate, target + 1)
+
+
+def deutsch_schedule(drive: DriveParams) -> GateSchedule:
+    """Five-pulse schedule: control pi pulse, three target pulses, control -pi."""
+    return _schedule("deutsch", drive, (
+        (Transition(2, "g0", drive.omega1), Transition(2, "g1", 1j * drive.omega2)),
+        (Transition(2, "g0", drive.omega2), Transition(2, "g1", 1j * drive.omega1)),
+    ))
 
 
 def toffoli_schedule(drive: DriveParams) -> GateSchedule:
     """Three-pulse Toffoli: the Deutsch schedule without the two ratio pulses."""
-    full = deutsch_schedule(drive).segments
-    return GateSchedule((full[0], full[3], full[4]), "toffoli", 3)
+    return _schedule("toffoli", drive)
 
 
 def cnot_schedule(drive: DriveParams) -> GateSchedule:
     """Three-pulse CNOT on a (control, target) register."""
-    t_control = math.pi / drive.omega0
-    t_swap = SQRT2 * math.pi / drive.omega3
-    segments = (
-        PulseSegment((Transition(0, "g0", drive.omega0),), t_control),
-        PulseSegment(
-            (
-                Transition(1, "g0", drive.omega3),
-                Transition(1, "g1", -drive.omega3),
-            ),
-            t_swap,
-        ),
-        PulseSegment((Transition(0, "g0", -drive.omega0),), t_control),
-    )
-    return GateSchedule(segments, "cnot", 2)
+    return _schedule("cnot", drive)
 
 
-def phase_phi(drive: DriveParams, v: float) -> float:
-    """Residue phase on the doubly excited controls between the control pulses.
+def solve_phase_matching(n_windings: int, gate: str, params: PhysicalParams) -> float:
+    """omega_bar making the gate's residue phase an exact multiple of 2 pi.
 
-    phi = -T234 * v / 64 with T234 = 2pi (2/omega_bar + 1/(sqrt(2) omega3)),
-    the span of the three target pulses.
-    """
-    t234 = 2.0 * math.pi * (2.0 / drive.omega_bar + 1.0 / (SQRT2 * drive.omega3))
-    return -t234 * v / 64.0
-
-
-def solve_phase_matching(n_windings: int, v: float) -> float:
-    """omega_bar making the residue phase an exact multiple of 2 pi.
-
-    Under the sweep constraint omega3 = omega_bar/sqrt(2) the residue phase is
-    -6 pi v / (64 omega_bar), so omega_bar = 3|v| / (64 N) gives
-    |phi| = 2 N pi (phi = +2 N pi for attractive, i.e. negative, v).
+    Under the sweep constraint omega3 = omega_bar/sqrt(2) every interior
+    segment lasts a fixed multiple of 1/omega_bar, so phi(omega_bar) omega_bar
+    is a constant and omega_bar_N = omega_bar |phi(omega_bar)| / (2 pi N)
+    gives |phi| = 2 N pi (phi = +2 N pi for attractive, i.e. negative,
+    shifts).  Raises ``ValueError`` for a gate with no residue phase (the
+    CNOT, or a zero control-control shift): it has no solutions.
     """
     if int(n_windings) != n_windings or n_windings < 1:
         raise ValueError(f"n_windings must be a positive integer, got {n_windings}")
-    if v == 0:
-        raise ValueError("v must be nonzero")
-    return 3.0 * abs(v) / (64.0 * n_windings)
+    # omega_bar = 1 rad/us; omega0 and the ratio do not enter the interior
+    phi = residue_phase(gate, DriveParams.from_ratio(1.0, 1.0, 1.0), params)
+    if phi == 0:
+        raise ValueError(f"the {gate} gate has no residue phase to match")
+    return abs(phi) / (2.0 * math.pi * n_windings)

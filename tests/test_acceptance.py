@@ -10,12 +10,13 @@ import numpy as np
 
 from blockadesim import qcore
 from blockadesim.budget import (
+    TAU_BY_TEMPERATURE,
     argmin_total,
     avg_dwell,
     blockade_error,
     decay_error,
     dwell_table,
-    gate_time,
+    error_budget,
     sweep,
 )
 from blockadesim.evolve import SimulationOptions, evolve
@@ -27,7 +28,7 @@ from blockadesim.schedule import (
     DriveParams,
     cnot_schedule,
     deutsch_schedule,
-    phase_phi,
+    residue_phase,
     theta_from_omegas,
     toffoli_schedule,
 )
@@ -90,15 +91,18 @@ def test_criterion_3_sweep_minima():
 
 
 def test_criterion_4_gate_time():
-    value = gate_time(DRIVE)
+    value = error_budget(DRIVE, REF_PARAMS, 1590.0).gate_time_us
     rel = abs(value - 5.656) / 5.656
     report("4 gate time", rel < 1e-3, f"T_g = {value:.6f} us, rel dev {rel:.2e}")
 
 
 def test_criterion_5_phase_matching():
-    v = REF_PARAMS.blockade
-    phi_032 = phase_phi(DriveParams.from_ratio(TWO_PI * 10.0, TWO_PI * 0.32, 2.0), v)
-    phi_064 = phase_phi(DriveParams.from_ratio(TWO_PI * 10.0, TWO_PI * 0.64, 2.0), v)
+    phi_032 = residue_phase(
+        "deutsch", DriveParams.from_ratio(TWO_PI * 10.0, TWO_PI * 0.32, 2.0), REF_PARAMS
+    )
+    phi_064 = residue_phase(
+        "deutsch", DriveParams.from_ratio(TWO_PI * 10.0, TWO_PI * 0.64, 2.0), REF_PARAMS
+    )
     dev_032 = abs(phi_032 - 4.0 * math.pi) / (4.0 * math.pi)
     dev_064 = abs(phi_064 - 2.0 * math.pi) / (2.0 * math.pi)
     report(
@@ -203,7 +207,7 @@ def test_criterion_8b_blockade_loss():
         REF_PARAMS,
         SimulationOptions(compute_dwell=False, cc_interaction="none"),
     )
-    predicted = blockade_error(REF_PARAMS.blockade, DRIVE.omega0)
+    predicted = blockade_error(REF_PARAMS.control_residue, DRIVE.omega0)
     ok = True
     details = []
     for label in ("000", "001"):
@@ -224,19 +228,47 @@ def test_criterion_8b_blockade_loss():
 
 
 def test_criterion_8c_decay_norm_loss():
-    result = evolve(
-        deutsch_schedule(DRIVE),
-        REF_PARAMS,
-        SimulationOptions(decay_tau=1590.0, compute_dwell=False),
-    )
-    mean_loss = float(np.mean(list(result.norm_loss_per_input.values())))
-    predicted = decay_error(DRIVE, 1590.0)
-    rel = abs(mean_loss - predicted) / predicted
-    report(
-        "8c decay norm loss",
-        rel <= 0.1,
-        f"mean norm loss {mean_loss:.4e} vs E_decay {predicted:.4e} ({rel:.1%})",
-    )
+    """Each gate's budget decay term E_decay = mean dwell / tau against the
+    simulated norm loss, over the 115-point omega_bar grid.
+
+    E_decay is first order in dwell / tau, while an input that dwells T in r
+    keeps the norm exp(-T / tau).  At 4.2 K the mean norm loss is within 10%
+    of E_decay at every point (worst: Deutsch, 6.4% at 0.02 MHz).  At 300 K
+    the slowest drives leave the first-order regime: at 0.02 MHz E_decay is
+    0.51 for the Deutsch gate and the loss 0.40 (27%), 10.6% for the
+    Toffoli.  The exponent, the mean over inputs of -ln(1 - loss), is what
+    the dwell table predicts at any loss; it is checked at 1% at both
+    temperatures (worst 0.56%, CNOT at 2.12 MHz)."""
+    grid = [0.02 + 0.02 * i for i in range(115)]
+    cases = [
+        ("deutsch", deutsch_schedule, REF_PARAMS),
+        ("toffoli", toffoli_schedule, REF_PARAMS),
+        ("cnot", cnot_schedule, REF_PARAMS_2),
+    ]
+    ok = True
+    details = []
+    for gate, builder, params in cases:
+        worst_loss, worst_exponent = (0.0, None), (0.0, None, None)
+        for temperature, tau in TAU_BY_TEMPERATURE.items():
+            opts = SimulationOptions(decay_tau=tau, compute_dwell=False)
+            for f_mhz in grid:
+                drive = DriveParams.from_ratio(TWO_PI * 10.0, TWO_PI * f_mhz, 2.0)
+                result = evolve(builder(drive), params, opts)
+                loss = np.array(list(result.norm_loss_per_input.values()))
+                predicted = decay_error(drive, tau, gate)
+                exponent = float(np.mean(-np.log1p(-loss)))
+                rel = abs(exponent - predicted) / predicted
+                worst_exponent = max(worst_exponent, (rel, f_mhz, temperature))
+                if temperature == "4.2K":
+                    rel = abs(float(np.mean(loss)) - predicted) / predicted
+                    worst_loss = max(worst_loss, (rel, f_mhz))
+        ok = ok and worst_loss[0] <= 0.1 and worst_exponent[0] <= 0.01
+        details.append(
+            f"{gate}: loss at 4.2K worst {worst_loss[0]:.1%} ({worst_loss[1]:.2f} MHz), "
+            f"exponent worst {worst_exponent[0]:.2%} ({worst_exponent[1]:.2f} MHz, "
+            f"{worst_exponent[2]})"
+        )
+    report("8c decay norm loss", ok, "; ".join(details))
 
 
 def test_criterion_9_unitarity_suite():

@@ -15,24 +15,35 @@ from blockadesim.budget import (
     decay_error,
     dwell_table,
     error_budget,
-    gate_time,
     sweep,
     sweep_grid,
     total_error,
     two_photon_error,
 )
 from blockadesim.model import PhysicalParams, vdw_shift
-from blockadesim.schedule import DriveParams
+from blockadesim.schedule import (
+    DriveParams,
+    cnot_schedule,
+    deutsch_schedule,
+    toffoli_schedule,
+)
 
 TWO_PI = 2.0 * math.pi
 SQRT2 = math.sqrt(2.0)
 
 REF_PARAMS = PhysicalParams(c6_over_2pi=-633.0, spacing=6.0, lifetime=1590.0, n_atoms=3)
+REF_PARAMS_2 = PhysicalParams(c6_over_2pi=-633.0, spacing=6.0, lifetime=1590.0, n_atoms=2)
+PARAMS = {"deutsch": REF_PARAMS, "toffoli": REF_PARAMS, "cnot": REF_PARAMS_2}
+BUILDERS = {"deutsch": deutsch_schedule, "toffoli": toffoli_schedule, "cnot": cnot_schedule}
 V = REF_PARAMS.blockade
 
 
 def ref_drive(omega_bar_mhz, ratio=2.0):
     return DriveParams.from_ratio(TWO_PI * 10.0, TWO_PI * omega_bar_mhz, ratio)
+
+
+def gate_time(drive, gate="deutsch"):
+    return error_budget(drive, PARAMS[gate], 1590.0, gate).gate_time_us
 
 
 def random_drive(rng):
@@ -63,7 +74,17 @@ def test_gate_time_at_092():
 
 def test_gate_time_fast_drive_limit():
     drive = DriveParams(TWO_PI * 10.0, 1e9, 1e9, 1e9 / SQRT2)
-    assert gate_time(drive) == pytest.approx(0.1, rel=1e-6)
+    for gate in ("deutsch", "toffoli", "cnot"):
+        assert gate_time(drive, gate) == pytest.approx(0.1, rel=1e-6)
+
+
+@pytest.mark.parametrize("gate", ["deutsch", "toffoli", "cnot"])
+def test_gate_time_is_the_schedule_duration(gate):
+    # 0.1 + 1/0.54 us by hand for the three-pulse gates
+    drive = ref_drive(0.54)
+    assert gate_time(drive, gate) == BUILDERS[gate](drive).total_duration
+    if gate != "deutsch":
+        assert gate_time(drive, gate) == pytest.approx(0.1 + 1.0 / 0.54, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -141,15 +162,18 @@ def test_decay_error_values():
 def test_blockade_error_value():
     omega0 = TWO_PI * 10.0
     expected = 2.0 * (V / 64.0) ** 2 / omega0**2
-    assert blockade_error(V, omega0) == pytest.approx(expected, rel=1e-12)
+    residue = REF_PARAMS.control_residue
+    assert blockade_error(residue, omega0) == pytest.approx(expected, rel=1e-12)
     assert expected == pytest.approx(8.988e-4, rel=1e-3)
+    assert blockade_error(REF_PARAMS_2.control_residue, omega0) == 0.0
 
 
 def test_blockade_error_limits():
-    assert blockade_error(V, 1e10) < 1e-18
-    doubled_spacing = vdw_shift(-633.0, 12.0)
+    residue = REF_PARAMS.control_residue
+    assert blockade_error(residue, 1e10) < 1e-18
+    doubled_spacing = vdw_shift(-633.0, 24.0)  # controls at 2L = 24 um
     assert blockade_error(doubled_spacing, TWO_PI * 10.0) == pytest.approx(
-        blockade_error(V, TWO_PI * 10.0) / 4096.0, rel=1e-12
+        blockade_error(residue, TWO_PI * 10.0) / 4096.0, rel=1e-12
     )
 
 
@@ -215,10 +239,78 @@ def test_total_error_rejects_unknown_temperature():
 def test_error_budget_carries_times_and_phase():
     drive = ref_drive(0.54)
     budget = error_budget(drive, REF_PARAMS, 1590.0)
-    assert budget.gate_time_us == pytest.approx(gate_time(drive), rel=1e-12)
+    assert budget.gate_time_us == pytest.approx(0.1 + 3.0 / 0.54, rel=1e-12)
     assert budget.control_dwell_us == pytest.approx(control_dwell(drive), rel=1e-12)
     assert budget.mean_rydberg_time_us == pytest.approx(avg_dwell(drive), rel=1e-12)
     assert budget.residue_phase_rad == pytest.approx(7.3999, rel=1e-4)
+
+
+# The acceptance numbers at the CLI defaults (0.54 MHz, 4.2 K); the decay
+# terms agree with evolve's mean norm loss, 1.268e-3 and 7.435e-4.
+PER_GATE = {
+    "toffoli": dict(gate_time_us=1.95185, mean_rydberg_time_us=2.01759, decay=1.2689e-3,
+                    blockade=8.988e-4, two_photon=5.495e-4, residue_phase_rad=2.4666),
+    "cnot": dict(gate_time_us=1.95185, mean_rydberg_time_us=1.18241, decay=7.4365e-4,
+                 blockade=0.0, two_photon=4.884e-4, residue_phase_rad=0.0),
+}
+
+
+@pytest.mark.parametrize("gate", sorted(PER_GATE))
+def test_error_budget_of_the_three_pulse_gates(gate):
+    budget = error_budget(ref_drive(0.54, 1.0), PARAMS[gate], 1590.0, gate)
+    for field, expected in PER_GATE[gate].items():
+        assert getattr(budget, field) == pytest.approx(expected, rel=1e-4, abs=1e-12), field
+    assert budget.control_dwell_us == pytest.approx(0.05 + 1.0 / 0.54, rel=1e-12)
+
+
+@pytest.mark.parametrize("gate", ["deutsch", "toffoli", "cnot"])
+def test_error_budget_rejects_the_wrong_register(gate):
+    wrong = REF_PARAMS_2 if PARAMS[gate] is REF_PARAMS else REF_PARAMS
+    with pytest.raises(ValueError, match=f"the {gate} gate needs"):
+        error_budget(ref_drive(0.54), wrong, 1590.0, gate)
+    with pytest.raises(ValueError, match="gate must be one of"):
+        error_budget(ref_drive(0.54), REF_PARAMS, 1590.0, "swap")
+
+
+def test_three_pulse_dwell_tables():
+    # T_x = pi/w0 + sqrt(2) pi/w3 per control in g0; the swap tail
+    # sqrt(2) pi/(4 w3) with every control in g1
+    drive = ref_drive(0.77, 1.4)
+    t_x = math.pi / drive.omega0 + SQRT2 * math.pi / drive.omega3
+    tail = SQRT2 * math.pi / (4.0 * drive.omega3)
+    toffoli = dict(zip(("000", "001", "010", "011", "100", "101", "110", "111"),
+                       (2 * t_x, 2 * t_x, t_x, t_x, t_x, t_x, tail, tail)))
+    cnot = {"00": t_x, "01": t_x, "10": tail, "11": tail}
+    for gate, expected in (("toffoli", toffoli), ("cnot", cnot)):
+        table = dwell_table(drive, gate)
+        assert table.keys() == expected.keys()
+        for label, value in expected.items():
+            assert table[label] == pytest.approx(value, rel=1e-12), (gate, label)
+        assert control_dwell(drive, gate) == pytest.approx(t_x, rel=1e-12)
+
+
+def test_three_pulse_two_photon_rows():
+    # only the swap rows; the strong 4v row only with two controls
+    drive = ref_drive(0.92)
+    t_swap = SQRT2 * math.pi / drive.omega3
+    weak = math.sin(drive.omega3**2 * t_swap / (4.0 * V)) ** 2
+    strong = math.sin(drive.omega3**2 * t_swap / (8.0 * V)) ** 2
+    assert two_photon_error(drive, V, "cnot") == pytest.approx(weak / 2.0, rel=1e-12)
+    assert two_photon_error(drive, V, "toffoli") == pytest.approx(
+        strong / 4.0 + weak / 2.0, rel=1e-12
+    )
+
+
+@pytest.mark.parametrize("gate", ["deutsch", "toffoli", "cnot"])
+def test_sweep_follows_the_gate(gate):
+    points = sweep(PARAMS[gate], gate=gate, start_mhz=0.5, stop_mhz=0.6, step_mhz=0.02)
+    for p in points:
+        budget = error_budget(p.drive, PARAMS[gate], 1590.0, gate)
+        assert p.budget_4k == budget
+        assert p.budget_300k == error_budget(p.drive, PARAMS[gate], 313.0, gate)
+        assert p.budget_4k.gate_time_us == BUILDERS[gate](p.drive).total_duration
+    with pytest.raises(ValueError, match="needs"):
+        sweep(REF_PARAMS if gate == "cnot" else REF_PARAMS_2, gate=gate)
 
 
 def test_component_monotonicity_over_sweep():

@@ -272,6 +272,68 @@ def test_phase_at_032(tmp_path):
     assert payload["phi_rad"] > 0.0  # negative C6 gives positive phi
 
 
+# The budget of each three-pulse gate at the defaults (0.54 MHz, 4.2 K).
+GATE_BUDGETS = {
+    "toffoli": dict(gate_time_us=1.95185, mean_rydberg_time_us=2.01759, decay=1.2689e-3,
+                    blockade=8.988e-4, two_photon=5.495e-4, residue_phase_rad=2.4666),
+    "cnot": dict(gate_time_us=1.95185, mean_rydberg_time_us=1.18241, decay=7.4365e-4,
+                 blockade=0.0, two_photon=4.884e-4, residue_phase_rad=0.0),
+}
+
+
+@pytest.mark.parametrize("gate", sorted(GATE_BUDGETS))
+def test_budget_follows_the_gate(tmp_path, gate):
+    payload = run_json(tmp_path, "budget.json", ["budget", "--gate", gate])
+    for key, expected in GATE_BUDGETS[gate].items():
+        assert payload["budget"][key] == pytest.approx(expected, rel=1e-4, abs=1e-12), key
+    assert payload["budget"]["gate_time_us"] == payload["derived"]["gate_time_us"]
+    # the CNOT register has no control pair
+    expected_residue = 0.0 if gate == "cnot" else pytest.approx(-0.21199, rel=1e-4)
+    assert payload["derived"]["control_residue_MHz"] == expected_residue
+
+
+def test_toffoli_residue_phase_is_the_simulated_correction(tmp_path):
+    simulated = run_json(tmp_path, "sim.json", ["simulate", "--gate", "toffoli"])
+    correction = simulated["phase"]["correction_rad"]
+    assert correction == pytest.approx(2.4666, rel=1e-4)
+    synth = run_json(tmp_path, "synth.json", ["synth", "--gate", "toffoli"])
+    phase = run_json(tmp_path, "phase.json", ["phase", "--gate", "toffoli"])
+    assert synth["phi_rad"] == phase["phi_rad"] == correction
+    for first in (synth["phase_matching"][0], phase["matched_solutions"][0]):
+        assert first["N"] == 1
+        assert first["omega_bar_MHz"] == pytest.approx(0.21199, rel=1e-4)
+    assert phase["matched_solutions"][0]["phi_rad"] == pytest.approx(2.0 * math.pi, abs=1e-9)
+
+
+def test_cnot_has_no_residue_phase_to_match(tmp_path, capsys):
+    synth = run_json(tmp_path, "synth.json", ["synth", "--gate", "cnot"])
+    assert synth["phi_rad"] == 0.0 and synth["phase_matching"] == []
+    assert "phase-matched omega_bar/2pi (MHz): none" in capsys.readouterr().out
+    phase = run_json(tmp_path, "phase.json", ["phase", "--gate", "cnot"])
+    assert phase["phi_rad"] == 0.0 and phase["matched_solutions"] == []
+
+
+@pytest.mark.parametrize("gate", ["toffoli", "cnot"])
+def test_sweep_follows_the_gate(tmp_path, gate):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--gate", gate, "--out", str(out)]) == 0
+    header, *rows = out.read_text().splitlines()
+    columns = dict(zip(header.split(","), zip(*(map(float, r.split(",")) for r in rows))))
+    at_054 = columns["omega_bar_MHz"].index(0.54)
+    assert columns["T_g_us"][at_054] == pytest.approx(1.95185, rel=1e-5)
+    if gate == "cnot":
+        assert set(columns["E_bl"]) == set(columns["phi_rad"]) == {0.0}
+
+
+def test_budget_register_mismatch_gives_one_error_line(monkeypatch, capsys):
+    # the budget rejects params of another register, as evolve does
+    three_atoms = cli.build_params
+    monkeypatch.setattr(cli, "build_params", lambda cfg: three_atoms({**cfg, "gate": "deutsch"}))
+    assert main(["budget", "--gate", "cnot"]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == ["error: the cnot gate needs 2 atoms, params have 3"]
+
+
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from blockadesim.schedule import (
     DriveParams,
     cnot_schedule,
     deutsch_schedule,
+    residue_phase,
     toffoli_schedule,
 )
 
@@ -152,13 +153,21 @@ def test_leakage_bounds_and_column_norms():
 
 def test_weak_row_leakage_matches_two_photon_prediction():
     """The two-photon loss ends in the neighbouring computational state, so
-    it is measured as the transferred population."""
+    it is measured as the transferred population.  The three-pulse gates
+    have the swap row only."""
+    v = REF_PARAMS.blockade
     result = evolve(deutsch_schedule(DRIVE), REF_PARAMS, NO_DWELL)
     block = result.computational_block
-    prediction = weak_row_two_photon_prediction(DRIVE, REF_PARAMS.blockade)
+    prediction = weak_row_two_photon_prediction(DRIVE, v)
     for src, dst in ((2, 3), (3, 2), (4, 5), (5, 4)):  # 010<->011, 100<->101
         transferred = abs(block[dst, src]) ** 2
         assert transferred == pytest.approx(prediction, rel=0.2)
+    t_swap = math.sqrt(2.0) * math.pi / DRIVE.omega3
+    swap_row = math.sin(DRIVE.omega3**2 * t_swap / (4.0 * v)) ** 2
+    toffoli = evolve(toffoli_schedule(DRIVE), REF_PARAMS, NO_DWELL).computational_block
+    assert abs(toffoli[3, 2]) ** 2 == pytest.approx(swap_row, rel=0.2)  # 010 -> 011
+    cnot = evolve(cnot_schedule(DRIVE), REF_PARAMS_2, NO_DWELL).computational_block
+    assert abs(cnot[1, 0]) ** 2 == pytest.approx(swap_row, rel=0.2)  # 00 -> 01
 
 
 def test_decay_norm_loss_matches_budget():
@@ -253,6 +262,16 @@ def test_frame_correction_noop_without_residue():
     assert result.phase_correction == 0.0
 
 
+@pytest.mark.parametrize(
+    "gate,builder,params",
+    [("deutsch", deutsch_schedule, REF_PARAMS), ("toffoli", toffoli_schedule, REF_PARAMS),
+     ("cnot", cnot_schedule, REF_PARAMS_2)],
+)
+def test_budget_residue_phase_is_the_simulated_correction(gate, builder, params):
+    result = evolve(builder(DRIVE), params, NO_DWELL)
+    assert residue_phase(gate, DRIVE, params) == result.phase_correction
+
+
 # ---------------------------------------------------------------------------
 # dwell times
 # ---------------------------------------------------------------------------
@@ -311,10 +330,18 @@ def test_dwell_wait_in_rydberg_adds_wait_time():
 
 def test_dwell_blockade_limit_matches_table():
     opts = SimulationOptions(cc_interaction="none")
-    params = REF_PARAMS.with_interaction_scaled(1e3)
-    result = evolve(deutsch_schedule(DRIVE), params, opts)
-    for label, expected in dwell_table(DRIVE).items():
-        assert result.dwell_per_input[label] == pytest.approx(expected, rel=1e-8)
+    for gate, builder, params in (
+        ("deutsch", deutsch_schedule, REF_PARAMS),
+        ("toffoli", toffoli_schedule, REF_PARAMS),
+        ("cnot", cnot_schedule, REF_PARAMS_2),
+    ):
+        result = evolve(builder(DRIVE), params.with_interaction_scaled(1e3), opts)
+        table = dwell_table(DRIVE, gate)
+        assert table.keys() == result.dwell_per_input.keys()
+        for label, expected in table.items():
+            assert result.dwell_per_input[label] == pytest.approx(expected, rel=1e-8), (
+                gate, label
+            )
 
 
 def test_dwell_finite_at_extreme_control_drive():

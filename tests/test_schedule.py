@@ -15,7 +15,8 @@ from blockadesim.schedule import (
     cnot_schedule,
     deutsch_schedule,
     omegas_from_theta,
-    phase_phi,
+    residue_phase,
+    segment_durations,
     solve_phase_matching,
     theta_from_omegas,
     toffoli_schedule,
@@ -166,12 +167,25 @@ def test_deutsch_schedule_durations():
 
 
 def test_deutsch_schedule_total_matches_gate_time():
-    from blockadesim.budget import gate_time
+    from blockadesim.budget import error_budget
 
     drive = ref_drive(0.77, 1.4)
     assert deutsch_schedule(drive).total_duration == pytest.approx(
-        gate_time(drive), rel=1e-12
+        error_budget(drive, REF_PARAMS, 1590.0).gate_time_us, rel=1e-12
     )
+
+
+@pytest.mark.parametrize(
+    "gate,builder",
+    [("deutsch", deutsch_schedule), ("toffoli", toffoli_schedule), ("cnot", cnot_schedule)],
+)
+def test_builders_use_the_segment_durations(gate, builder):
+    drive = ref_drive(0.77, 1.4)
+    schedule = builder(drive)
+    assert tuple(seg.duration for seg in schedule.segments) == segment_durations(gate, drive)
+    assert schedule.gate_kind == gate
+    with pytest.raises(ValueError, match="gate must be one of"):
+        segment_durations("swap", drive)
 
 
 def test_deutsch_schedule_drive_structure():
@@ -227,41 +241,60 @@ def test_emitted_schedules_have_hermitian_hamiltonians(builder):
 # ---------------------------------------------------------------------------
 
 def test_phase_phi_supplement_values():
-    v = REF_PARAMS.blockade
-    phi_032 = phase_phi(ref_drive(0.32), v)
-    phi_064 = phase_phi(ref_drive(0.64), v)
+    phi_032 = residue_phase("deutsch", ref_drive(0.32), REF_PARAMS)
+    phi_064 = residue_phase("deutsch", ref_drive(0.64), REF_PARAMS)
     assert phi_032 == pytest.approx(4.0 * math.pi, rel=0.01)
     assert phi_064 == pytest.approx(2.0 * math.pi, rel=0.01)
+    # the Toffoli interior is the swap pulse alone, a third of the Deutsch one
+    assert residue_phase("toffoli", ref_drive(0.64), REF_PARAMS) == pytest.approx(
+        phi_064 / 3.0, rel=1e-12
+    )
+    assert residue_phase("cnot", ref_drive(0.64), REF_PARAMS_2) == 0.0
 
 
 def test_phase_phi_scales_inversely_with_omega_bar():
-    v = REF_PARAMS.blockade
-    assert phase_phi(ref_drive(0.4), v) == pytest.approx(
-        2.0 * phase_phi(ref_drive(0.8), v), rel=1e-12
-    )
+    for gate in ("deutsch", "toffoli"):
+        assert residue_phase(gate, ref_drive(0.4), REF_PARAMS) == pytest.approx(
+            2.0 * residue_phase(gate, ref_drive(0.8), REF_PARAMS), rel=1e-12
+        )
 
 
 def test_phase_phi_sign():
-    # negative v gives positive phi
-    assert phase_phi(ref_drive(), REF_PARAMS.blockade) > 0.0
+    # negative C6 gives positive phi
+    assert residue_phase("deutsch", ref_drive(), REF_PARAMS) > 0.0
 
 
 def test_solve_phase_matching_values():
-    v = REF_PARAMS.blockade
-    assert solve_phase_matching(1, v) / TWO_PI == pytest.approx(0.64, rel=0.01)
-    assert solve_phase_matching(2, v) / TWO_PI == pytest.approx(0.32, rel=0.01)
+    assert solve_phase_matching(1, "deutsch", REF_PARAMS) / TWO_PI == pytest.approx(
+        0.64, rel=0.01
+    )
+    assert solve_phase_matching(2, "deutsch", REF_PARAMS) / TWO_PI == pytest.approx(
+        0.32, rel=0.01
+    )
+    # omega_bar_1 of the Toffoli is |V/64| itself: 0.21199 MHz
+    assert solve_phase_matching(1, "toffoli", REF_PARAMS) == pytest.approx(
+        abs(REF_PARAMS.control_residue), rel=1e-12
+    )
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 7])
 def test_solve_phase_matching_roundtrip(n):
-    v = REF_PARAMS.blockade
-    omega_bar = solve_phase_matching(n, v)
-    drive = DriveParams.from_ratio(TWO_PI * 10.0, omega_bar, 2.0)
-    assert abs(phase_phi(drive, v) - 2.0 * n * math.pi) < 1e-10
+    for gate in ("deutsch", "toffoli"):
+        omega_bar = solve_phase_matching(n, gate, REF_PARAMS)
+        drive = DriveParams.from_ratio(TWO_PI * 10.0, omega_bar, 2.0)
+        assert abs(residue_phase(gate, drive, REF_PARAMS) - 2.0 * n * math.pi) < 1e-10
 
 
 def test_solve_phase_matching_domain_errors():
+    # no residue, no solutions: the CNOT, or controls without a shift
+    with pytest.raises(ValueError, match="no residue phase"):
+        solve_phase_matching(1, "cnot", REF_PARAMS_2)
+    # a three-atom residue does not belong to the CNOT
+    with pytest.raises(ValueError, match="the cnot gate needs 2 atoms"):
+        solve_phase_matching(1, "cnot", REF_PARAMS)
+    with pytest.raises(ValueError, match="no residue phase"):
+        solve_phase_matching(1, "deutsch", REF_PARAMS.with_interaction_scaled(0.0))
     with pytest.raises(ValueError):
-        solve_phase_matching(1, 0.0)
+        solve_phase_matching(0, "deutsch", REF_PARAMS)
     with pytest.raises(ValueError):
-        solve_phase_matching(0, -1.0)
+        solve_phase_matching(1.5, "deutsch", REF_PARAMS)
