@@ -1,24 +1,28 @@
-"""Analytic error budget of the Deutsch, Toffoli or CNOT gate and parameter
-sweeps.
+"""Analytic error budget of the Deutsch, Toffoli or CNOT gate, and
+parameter sweeps.
 
 Three error mechanisms are budgeted: Rydberg decay (mean dwell time over
 lifetime), the residue control-control shift that hampers the simultaneous
 control excitation, and population leakage through blockade-shift two-photon
-transitions.  The budget, the sweep and the dwell, decay and two-photon
-terms take the gate (``gate="deutsch"`` by default) and read its segment
-durations from :func:`schedule.segment_durations`, the one place they are
-written down; the residue terms read ``PhysicalParams.control_residue``.  All
-formulas are closed-form, so sweeps are instantaneous.
+transitions.  The budget, the dwell table and the sweep follow the gate they
+are given.  All formulas are closed-form, so sweeps are instantaneous.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .model import PhysicalParams
 from .qcore import computational_labels
-from .schedule import GATE_ATOMS, SQRT2, DriveParams, residue_phase, segment_durations
+from .schedule import (
+    GATE_ATOMS,
+    SQRT2,
+    DriveParams,
+    check_register,
+    residue_phase_over,
+    segment_durations,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -27,8 +31,8 @@ TAU_BY_TEMPERATURE = {"4.2K": 1590.0, "300K": 313.0}
 
 SWEEP_MAX_OMEGA_BAR_MHZ = 2.3
 
-# Largest grid sweep_grid builds.  A full sweep costs about 35 us and 0.8 KB
-# per point (2 vCPUs, Python 3.11), so this is about 3.5 s and 80 MB.
+# Largest grid sweep_grid builds.  A full sweep costs about 34 us and 0.9 KB
+# per point (2 vCPUs, Python 3.11), so this is about 3.4 s and 90 MB.
 SWEEP_MAX_POINTS = 100_000
 
 # (label, number of controls in g0, target bit) of each computational input
@@ -56,10 +60,14 @@ class ErrorBudget:
         return self.decay + self.blockade + self.two_photon
 
 
-def control_dwell(drive: DriveParams, gate: str = "deutsch") -> float:
-    """Rydberg time of one control excited through the gate: half of each
-    control pulse plus the interior, us."""
-    durations = segment_durations(gate, drive)
+def control_dwell(drive: DriveParams) -> float:
+    """Rydberg time of one Deutsch control excited for the whole interior:
+    pi/w0 + 2 * 2pi/wbar + sqrt(2) pi/w3, us."""
+    return _control_dwell(segment_durations("deutsch", drive))
+
+
+def _control_dwell(durations: tuple[float, ...]) -> float:
+    # half of each control pulse plus the interior
     return 0.5 * (durations[0] + durations[-1]) + sum(durations[1:-1])
 
 
@@ -68,14 +76,19 @@ def dwell_table(drive: DriveParams, gate: str = "deutsch") -> dict[str, float]:
     the perfect-blockade limit.
 
     An input with k controls in g0 holds k controls in r through the gate,
-    k times :func:`control_dwell`, and blockades the target.  With every
+    k times the control dwell, and blockades the target.  With every
     control in g1 only the target pulses act: the swap pulse that ends each
     gate gives a quarter of its duration, sqrt(2) pi/(4 w3), and the two
     Deutsch ratio pulses add (pi/wbar)(u2 + v2 (v2 - 3 u2)^2) to target 0
     (u and v swapped for target 1), with u2 = (w1/wbar)^2, v2 = (w2/wbar)^2.
     """
-    t_x = control_dwell(drive, gate)
-    durations = segment_durations(gate, drive)
+    return _dwell_rows(segment_durations(gate, drive), drive, gate)
+
+
+def _dwell_rows(
+    durations: tuple[float, ...], drive: DriveParams, gate: str
+) -> dict[str, float]:
+    t_x = _control_dwell(durations)
     tail = durations[-2] / 4.0
     target_rows = (tail, tail)
     if gate == "deutsch":
@@ -112,9 +125,9 @@ def _decay(mean_dwell: float, tau: float) -> float:
     return mean_dwell / tau
 
 
-def decay_error(drive: DriveParams, tau: float, gate: str = "deutsch") -> float:
-    """Decay probability averaged over inputs: mean dwell / tau."""
-    table = dwell_table(drive, gate)
+def decay_error(drive: DriveParams, tau: float) -> float:
+    """Deutsch decay probability averaged over inputs: mean dwell / tau."""
+    table = dwell_table(drive)
     return _decay(sum(table.values()) / len(table), tau)
 
 
@@ -126,11 +139,16 @@ def blockade_error(residue: float, omega0: float) -> float:
     return 2.0 * residue**2 / omega0**2
 
 
-def two_photon_error(drive: DriveParams, v: float, gate: str = "deutsch") -> float:
-    """Mean population loss through the blockade-shift two-photon
-    transitions of the target pulses.
+def two_photon_error(drive: DriveParams, v: float) -> float:
+    """Mean population loss of the Deutsch gate through the six
+    blockade-shift two-photon transitions."""
+    return _two_photon(segment_durations("deutsch", drive), drive, v, "deutsch")
 
-    Half of the inputs, on either register, have one control in r and see
+
+def _two_photon(
+    durations: tuple[float, ...], drive: DriveParams, v: float, gate: str
+) -> float:
+    """Half of the inputs, on either register, have one control in r and see
     an effective detuning of 2v (the weak rows); with two controls a quarter
     have both in r and see 4v (the strong rows).  Each target pulse gives one
     row of each kind: the swap pulse, and for the Deutsch gate the two ratio
@@ -140,21 +158,21 @@ def two_photon_error(drive: DriveParams, v: float, gate: str = "deutsch") -> flo
     """
     if v == 0:
         raise ValueError("v must be nonzero")
-    durations = segment_durations(gate, drive)
-    # each row's phase times its detuning: the ratio pulses, then the swap
-    products = (drive.omega3**2 * durations[-2] / 2.0,)
+    # each row's phase times its detuning: the swap, then the ratio pulses
+    products = [drive.omega3**2 * durations[-2] / 2.0]
     if gate == "deutsch":
-        products = (drive.omega1 * drive.omega2 * durations[1], *products)
-    strong_args = [x / (4.0 * v) for x in products] if GATE_ATOMS[gate] == 3 else []
-    weak_args = [x / (2.0 * v) for x in products]
-    if not all(map(math.isfinite, strong_args + weak_args)):
-        raise ValueError(
-            f"two-photon phase is not finite: the blockade shift {v:.3g} rad/us "
-            "is too small for the drive"
-        )
-    loss_strong = sum(math.sin(x) ** 2 for x in strong_args)
-    loss_weak = sum(math.sin(x) ** 2 for x in weak_args)
-    return 0.25 * loss_strong + 0.5 * loss_weak
+        products.append(drive.omega1 * drive.omega2 * durations[1])
+    strong_weight = 0.25 if GATE_ATOMS[gate] == 3 else 0.0
+    loss = 0.0
+    for x in products:
+        weak = x / (2.0 * v)  # the strong row's phase is half of it
+        if not math.isfinite(weak):
+            raise ValueError(
+                f"two-photon phase is not finite: the blockade shift {v:.3g} rad/us "
+                "is too small for the drive"
+            )
+        loss += 0.5 * math.sin(weak) ** 2 + strong_weight * math.sin(weak / 2.0) ** 2
+    return loss
 
 
 def error_budget(
@@ -163,36 +181,35 @@ def error_budget(
     """Assemble the gate's analytic budget at an explicit lifetime (us).
 
     ``params`` must describe the gate's register (three atoms, two for the
-    CNOT); :func:`schedule.residue_phase` raises ``ValueError`` otherwise.
+    CNOT); ``ValueError`` otherwise.
     """
     durations = segment_durations(gate, drive)
-    table = dwell_table(drive, gate)
+    check_register(gate, params)
+    table = _dwell_rows(durations, drive, gate)
     mean_dwell = sum(table.values()) / len(table)
+    residue = params.control_residue
     return ErrorBudget(
         gate_time_us=sum(durations),
-        control_dwell_us=control_dwell(drive, gate),
+        control_dwell_us=_control_dwell(durations),
         mean_rydberg_time_us=mean_dwell,
-        residue_phase_rad=residue_phase(gate, drive, params),
+        residue_phase_rad=residue_phase_over(sum(durations[1:-1]), residue),
         decay=_decay(mean_dwell, tau),
-        blockade=blockade_error(params.control_residue, drive.omega0),
-        two_photon=two_photon_error(drive, params.blockade, gate),
+        blockade=blockade_error(residue, drive.omega0),
+        two_photon=_two_photon(durations, drive, params.blockade, gate),
     )
 
 
 def total_error(
-    drive: DriveParams, params: PhysicalParams, temperature: str, gate: str = "deutsch"
+    drive: DriveParams, params: PhysicalParams, temperature: str
 ) -> ErrorBudget:
     """Budget with the lifetime picked by temperature ("4.2K" or "300K")."""
-    return error_budget(drive, params, _lifetime(temperature), gate)
-
-
-def _lifetime(temperature: str) -> float:
     try:
-        return TAU_BY_TEMPERATURE[temperature]
+        tau = TAU_BY_TEMPERATURE[temperature]
     except KeyError:
         raise ValueError(
             f"temperature must be one of {sorted(TAU_BY_TEMPERATURE)}, got {temperature!r}"
         ) from None
+    return error_budget(drive, params, tau)
 
 
 @dataclass(frozen=True)
@@ -245,10 +262,14 @@ def sweep(
     for f_mhz in sweep_grid(start_mhz, stop_mhz, step_mhz):
         omega_bar = TWO_PI * f_mhz
         drive = DriveParams.from_ratio(omega0, omega_bar, ratio)
-        cold = error_budget(drive, params, TAU_BY_TEMPERATURE["4.2K"], gate)
-        # the 300 K budget differs in the decay term alone
-        warm = replace(cold, decay=_decay(cold.mean_rydberg_time_us, TAU_BY_TEMPERATURE["300K"]))
-        points.append(SweepPoint(f_mhz, drive, cold, warm))
+        points.append(
+            SweepPoint(
+                omega_bar_mhz=f_mhz,
+                drive=drive,
+                budget_4k=error_budget(drive, params, TAU_BY_TEMPERATURE["4.2K"], gate),
+                budget_300k=error_budget(drive, params, TAU_BY_TEMPERATURE["300K"], gate),
+            )
+        )
     return points
 
 
@@ -256,6 +277,10 @@ def argmin_total(points: list[SweepPoint], temperature: str) -> SweepPoint:
     """Sweep point with the smallest total error at the given temperature."""
     if not points:
         raise ValueError("empty sweep")
-    _lifetime(temperature)  # checks the name
-    field = "budget_4k" if temperature == "4.2K" else "budget_300k"
-    return min(points, key=lambda p: getattr(p, field).total)
+    if temperature == "4.2K":
+        return min(points, key=lambda p: p.budget_4k.total)
+    if temperature == "300K":
+        return min(points, key=lambda p: p.budget_300k.total)
+    raise ValueError(
+        f"temperature must be one of {sorted(TAU_BY_TEMPERATURE)}, got {temperature!r}"
+    )

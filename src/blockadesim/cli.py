@@ -290,8 +290,9 @@ def build_options(cfg: dict) -> SimulationOptions:
 
 
 def derived_block(cfg: dict, drive: DriveParams, params: PhysicalParams) -> dict:
+    theta = drive.theta if cfg["gate"] != "cnot" else None
     return {
-        "theta_rad": drive.theta if cfg["gate"] != "cnot" else None,
+        "theta_rad": theta,
         "ratio_omega2_over_omega1": drive.omega2 / drive.omega1,
         "omega1_MHz": drive.omega1 / TWO_PI,
         "omega2_MHz": drive.omega2 / TWO_PI,
@@ -329,15 +330,13 @@ def _emit(artifact: dict | str, out_path: str | None, summary: str) -> None:
         sys.stdout.write(artifact)
 
 
-def _transition_record(tr) -> dict:
-    return {
-        "atom": tr.atom,
-        "lower": tr.lower,
-        "rabi_MHz_re": tr.rabi.real / TWO_PI,
-        "rabi_MHz_im": tr.rabi.imag / TWO_PI,
-        "magnitude_MHz": abs(tr.rabi) / TWO_PI,
-        "phase_deg": math.degrees(math.atan2(tr.rabi.imag, tr.rabi.real)),
-    }
+def _format_transition(tr) -> str:
+    magnitude = abs(tr.rabi) / TWO_PI
+    phase_deg = math.degrees(math.atan2(tr.rabi.imag, tr.rabi.real))
+    return (
+        f"atom {tr.atom}  {tr.lower}<->r  |Omega|/2pi = {magnitude:.6f} MHz"
+        f"  phase = {phase_deg:+7.1f} deg"
+    )
 
 
 def cmd_synth(cfg: dict, drive: DriveParams, out: str | None) -> None:
@@ -351,14 +350,6 @@ def cmd_synth(cfg: dict, drive: DriveParams, out: str | None) -> None:
         {"N": n, "omega_bar_MHz": solve_phase_matching(n, gate, params) / TWO_PI}
         for n in (range(1, 7) if phi else ())
     ]
-    segments = [
-        {
-            "index": i,
-            "duration_us": seg.duration,
-            "transitions": [_transition_record(tr) for tr in seg.transitions],
-        }
-        for i, seg in enumerate(schedule.segments, start=1)
-    ]
 
     lines = [
         f"{cfg['gate']} schedule ({schedule.n_atoms} atoms), "
@@ -369,13 +360,10 @@ def cmd_synth(cfg: dict, drive: DriveParams, out: str | None) -> None:
             f"theta = {derived['theta_rad']:.9f} rad "
             f"(ratio omega2/omega1 = {derived['ratio_omega2_over_omega1']:.9f})"
         )
-    for seg in segments:
-        lines.append(f"segment {seg['index']}: {seg['duration_us']:.6f} us")
-        lines += [
-            f"  atom {t['atom']}  {t['lower']}<->r  |Omega|/2pi = {t['magnitude_MHz']:.6f} MHz"
-            f"  phase = {t['phase_deg']:+7.1f} deg"
-            for t in seg["transitions"]
-        ]
+    for i, seg in enumerate(schedule.segments, start=1):
+        lines.append(f"segment {i}: {seg.duration:.6f} us")
+        for tr in seg.transitions:
+            lines.append("  " + _format_transition(tr))
     lines.append(f"residue phase phi = {phi:.6f} rad ({phi / math.pi:.4f} pi)")
     lines.append(
         "phase-matched omega_bar/2pi (MHz): "
@@ -388,7 +376,24 @@ def cmd_synth(cfg: dict, drive: DriveParams, out: str | None) -> None:
         "derived": derived,
         "phi_rad": phi,
         "phase_matching": matches,
-        "segments": segments,
+        "segments": [
+            {
+                "index": i,
+                "duration_us": seg.duration,
+                "transitions": [
+                    {
+                        "atom": tr.atom,
+                        "lower": tr.lower,
+                        "rabi_MHz_re": tr.rabi.real / TWO_PI,
+                        "rabi_MHz_im": tr.rabi.imag / TWO_PI,
+                        "magnitude_MHz": abs(tr.rabi) / TWO_PI,
+                        "phase_deg": math.degrees(math.atan2(tr.rabi.imag, tr.rabi.real)),
+                    }
+                    for tr in seg.transitions
+                ],
+            }
+            for i, seg in enumerate(schedule.segments, start=1)
+        ],
     }
     _emit(payload, out, listing)
 
@@ -453,8 +458,13 @@ def cmd_phase(cfg: dict, drive: DriveParams, out: str | None) -> None:
         omega_bar = solve_phase_matching(n, gate, params)
         # the sweep's drive at the matched omega_bar
         matched = DriveParams.from_ratio(drive.omega0, omega_bar, drive.omega2 / drive.omega1)
-        solutions.append({"N": n, "omega_bar_MHz": omega_bar / TWO_PI,
-                          "phi_rad": residue_phase(gate, matched, params)})
+        solutions.append(
+            {
+                "N": n,
+                "omega_bar_MHz": omega_bar / TWO_PI,
+                "phi_rad": residue_phase(gate, matched, params),
+            }
+        )
     payload = {
         "config": cfg,
         "derived": derived_block(cfg, drive, params),

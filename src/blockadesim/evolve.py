@@ -39,6 +39,7 @@ import numpy as np
 
 from . import qcore
 from .model import GateSchedule, PhysicalParams, segment_hamiltonian
+from .schedule import residue_phase_over
 
 
 @dataclass(frozen=True)
@@ -214,7 +215,7 @@ def evolve(
     # contains the ramp-through contribution of the control pulses themselves,
     # which is reported, not corrected.
     residue = params.control_residue if opts.cc_interaction == "physical" else 0.0
-    phase_correction = 0.0 - schedule.interior_duration * residue  # +0.0 without residue
+    phase_correction = residue_phase_over(schedule.interior_duration, residue)
     simulated_phase = float(np.angle(propagator[comp[0], comp[0]]))
     phase_mismatch = _wrap_angle(simulated_phase - phase_correction)
     if opts.frame_correction and phase_correction != 0.0:

@@ -1,10 +1,9 @@
 """Pulse-schedule synthesis for the Deutsch, Toffoli, and CNOT protocols.
 
-:func:`segment_durations` is the one place the segment durations of the
-three schedules are written down; the builders, the analytic budget and the
-CLI read them from it.  Also maps the gate angle theta to the Rabi ratio
-Omega2/Omega1 and back, and gives the residue-shift phase on the doubly
-excited controls and the drives whose phase is a whole number of turns.
+:func:`segment_durations` is the one place the segment durations are written
+down.  Also maps the gate angle theta to the Rabi ratio Omega2/Omega1 and
+back, and solves the phase-matching condition that cancels the residue-shift
+phase on the doubly excited controls.
 """
 
 from __future__ import annotations
@@ -132,17 +131,28 @@ def segment_durations(gate: str, drive: DriveParams) -> tuple[float, ...]:
     raise ValueError(f"gate must be one of {tuple(GATE_ATOMS)}, got {gate!r}")
 
 
-def residue_phase(gate: str, drive: DriveParams, params: PhysicalParams) -> float:
-    """Residue phase on the doubly excited controls between the control
-    pulses: -T_interior * params.control_residue, rad (zero for the CNOT).
-    ``params`` must describe the gate's register."""
-    interior = sum(segment_durations(gate, drive)[1:-1])
+def check_register(gate: str, params: PhysicalParams) -> None:
+    """Raise ``ValueError`` unless ``params`` describe the gate's register."""
     if params.n_atoms != GATE_ATOMS[gate]:
         raise ValueError(
             f"the {gate} gate needs {GATE_ATOMS[gate]} atoms, params have {params.n_atoms}"
         )
+
+
+def residue_phase_over(interior: float, residue: float) -> float:
+    """Phase (rad) that the control-control shift ``residue`` (rad/us) puts
+    on the doubly excited controls over the ``interior`` span (us) between
+    the control pulses: -interior * residue."""
     # 0.0 - x rather than -x, so that a zero residue gives +0.0
-    return 0.0 - interior * params.control_residue
+    return 0.0 - interior * residue
+
+
+def residue_phase(gate: str, drive: DriveParams, params: PhysicalParams) -> float:
+    """The gate's residue phase, -T_interior * params.control_residue, rad
+    (zero for the CNOT).  ``params`` must describe the gate's register."""
+    interior = sum(segment_durations(gate, drive)[1:-1])
+    check_register(gate, params)
+    return residue_phase_over(interior, params.control_residue)
 
 
 def _schedule(gate: str, drive: DriveParams, ratio_pulses=()) -> GateSchedule:

@@ -14,7 +14,6 @@ from blockadesim.budget import (
     argmin_total,
     avg_dwell,
     blockade_error,
-    decay_error,
     dwell_table,
     error_budget,
     sweep,
@@ -232,13 +231,15 @@ def test_criterion_8c_decay_norm_loss():
     simulated norm loss, over the 115-point omega_bar grid.
 
     E_decay is first order in dwell / tau, while an input that dwells T in r
-    keeps the norm exp(-T / tau).  At 4.2 K the mean norm loss is within 10%
-    of E_decay at every point (worst: Deutsch, 6.4% at 0.02 MHz).  At 300 K
-    the slowest drives leave the first-order regime: at 0.02 MHz E_decay is
-    0.51 for the Deutsch gate and the loss 0.40 (27%), 10.6% for the
-    Toffoli.  The exponent, the mean over inputs of -ln(1 - loss), is what
-    the dwell table predicts at any loss; it is checked at 1% at both
-    temperatures (worst 0.56%, CNOT at 2.12 MHz)."""
+    keeps the norm exp(-T / tau).  The mean norm loss is held to 10% of
+    E_decay at 4.2 K everywhere, and at 300 K from 0.08 MHz up and for the
+    CNOT everywhere (worst: Deutsch 8.1% at 0.08 MHz, CNOT 6.8% at 0.02 MHz,
+    both at 300 K).  Below 0.08 MHz, at 300 K, the slowest drives leave the
+    first-order regime: at 0.02 MHz E_decay is 0.51 for the Deutsch gate and
+    the loss 0.40 (27%), 10.6% for the Toffoli, so the criterion's 10% at
+    300 K is not met there.  The exponent, the mean
+    over inputs of -ln(1 - loss), is what the dwell table predicts at any
+    loss; it is checked at 1% everywhere (worst 0.56%, CNOT at 2.12 MHz)."""
     grid = [0.02 + 0.02 * i for i in range(115)]
     cases = [
         ("deutsch", deutsch_schedule, REF_PARAMS),
@@ -248,25 +249,25 @@ def test_criterion_8c_decay_norm_loss():
     ok = True
     details = []
     for gate, builder, params in cases:
-        worst_loss, worst_exponent = (0.0, None), (0.0, None, None)
+        worst_loss, worst_exponent = (0.0, None, None), (0.0, None, None)
         for temperature, tau in TAU_BY_TEMPERATURE.items():
             opts = SimulationOptions(decay_tau=tau, compute_dwell=False)
             for f_mhz in grid:
                 drive = DriveParams.from_ratio(TWO_PI * 10.0, TWO_PI * f_mhz, 2.0)
                 result = evolve(builder(drive), params, opts)
                 loss = np.array(list(result.norm_loss_per_input.values()))
-                predicted = decay_error(drive, tau, gate)
+                predicted = error_budget(drive, params, tau, gate).decay
                 exponent = float(np.mean(-np.log1p(-loss)))
                 rel = abs(exponent - predicted) / predicted
                 worst_exponent = max(worst_exponent, (rel, f_mhz, temperature))
-                if temperature == "4.2K":
+                if temperature == "4.2K" or f_mhz > 0.07 or gate == "cnot":
                     rel = abs(float(np.mean(loss)) - predicted) / predicted
-                    worst_loss = max(worst_loss, (rel, f_mhz))
+                    worst_loss = max(worst_loss, (rel, f_mhz, temperature))
         ok = ok and worst_loss[0] <= 0.1 and worst_exponent[0] <= 0.01
         details.append(
-            f"{gate}: loss at 4.2K worst {worst_loss[0]:.1%} ({worst_loss[1]:.2f} MHz), "
-            f"exponent worst {worst_exponent[0]:.2%} ({worst_exponent[1]:.2f} MHz, "
-            f"{worst_exponent[2]})"
+            f"{gate}: loss worst {worst_loss[0]:.1%} ({worst_loss[1]:.2f} MHz, "
+            f"{worst_loss[2]}), exponent worst {worst_exponent[0]:.2%} "
+            f"({worst_exponent[1]:.2f} MHz, {worst_exponent[2]})"
         )
     report("8c decay norm loss", ok, "; ".join(details))
 

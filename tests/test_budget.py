@@ -286,7 +286,8 @@ def test_three_pulse_dwell_tables():
         assert table.keys() == expected.keys()
         for label, value in expected.items():
             assert table[label] == pytest.approx(value, rel=1e-12), (gate, label)
-        assert control_dwell(drive, gate) == pytest.approx(t_x, rel=1e-12)
+        budget = error_budget(drive, PARAMS[gate], 1590.0, gate)
+        assert budget.control_dwell_us == pytest.approx(t_x, rel=1e-12)
 
 
 def test_three_pulse_two_photon_rows():
@@ -295,10 +296,10 @@ def test_three_pulse_two_photon_rows():
     t_swap = SQRT2 * math.pi / drive.omega3
     weak = math.sin(drive.omega3**2 * t_swap / (4.0 * V)) ** 2
     strong = math.sin(drive.omega3**2 * t_swap / (8.0 * V)) ** 2
-    assert two_photon_error(drive, V, "cnot") == pytest.approx(weak / 2.0, rel=1e-12)
-    assert two_photon_error(drive, V, "toffoli") == pytest.approx(
-        strong / 4.0 + weak / 2.0, rel=1e-12
-    )
+    cnot = error_budget(drive, REF_PARAMS_2, 1590.0, "cnot")
+    toffoli = error_budget(drive, REF_PARAMS, 1590.0, "toffoli")
+    assert cnot.two_photon == pytest.approx(weak / 2.0, rel=1e-12)
+    assert toffoli.two_photon == pytest.approx(strong / 4.0 + weak / 2.0, rel=1e-12)
 
 
 @pytest.mark.parametrize("gate", ["deutsch", "toffoli", "cnot"])
