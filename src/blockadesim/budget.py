@@ -13,8 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import PhysicalParams
-from .qcore import computational_labels
+from .model import PhysicalParams, computational_labels
 from .schedule import (
     GATE_ATOMS,
     SQRT2,

@@ -40,7 +40,6 @@ from .budget import (
 from .evolve import SimulationOptions, evolve
 from .ideal import cnot_ideal, deutsch_ideal, gate_fidelity, toffoli_ideal
 from .model import PhysicalParams
-from .qcore import unitarity_defect
 from .schedule import (
     GATE_ATOMS,
     RATIO_MAX,
@@ -55,6 +54,9 @@ from .schedule import (
 )
 
 TWO_PI = 2.0 * math.pi
+
+# BLAS thread variables that the simulate artifact records as inherited
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 @dataclass(frozen=True)
@@ -398,7 +400,24 @@ def cmd_synth(cfg: dict, drive: DriveParams, out: str | None) -> None:
     _emit(payload, out, listing)
 
 
+def provenance_block() -> dict:
+    """What produced a simulate artifact: the package, Python and numpy
+    versions and the BLAS thread variables as inherited (None when unset).
+    The analytic artifacts leave it out, since reading numpy's version
+    imports numpy."""
+    import numpy
+
+    return {
+        "blockadesim": __version__,
+        "python": "{}.{}.{}".format(*sys.version_info),
+        "numpy": numpy.__version__,
+        "blas_env": {key: os.environ.get(key) for key in BLAS_THREAD_VARS},
+    }
+
+
 def cmd_simulate(cfg: dict, drive: DriveParams, out: str | None) -> None:
+    from .qcore import unitarity_defect
+
     build_schedule, ideal_gate = gate_functions(cfg["gate"])
     schedule = build_schedule(drive)
     params = build_params(cfg)
@@ -422,6 +441,7 @@ def cmd_simulate(cfg: dict, drive: DriveParams, out: str | None) -> None:
             "mismatch_rad": result.phase_mismatch,
         },
         "unitarity_defect": unitarity_defect(result.full_propagator),
+        "provenance": provenance_block(),
     }
     summary = (
         f"{cfg['gate']}: state-average fidelity {fid_avg:.6f}, "

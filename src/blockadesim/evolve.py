@@ -34,12 +34,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import qcore
 from .model import GateSchedule, PhysicalParams, segment_hamiltonian
 from .schedule import residue_phase_over
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -94,6 +95,8 @@ def _wrap_angle(angle: float) -> float:
 def _running_products(steps: np.ndarray) -> np.ndarray:
     """``products[k] = steps[k] @ ... @ steps[0]`` for a stack of segment
     steps, last segment leftmost."""
+    import numpy as np
+
     products = np.empty_like(steps)
     products[0] = steps[0]
     for k in range(1, len(steps)):
@@ -124,6 +127,8 @@ def _integrate_dwell(
     eigenvalues.  All segments go through the same batched products, so
     there is no loop over segments.
     """
+    import numpy as np
+
     adjoint = eigvecs.conj().swapaxes(-1, -2)
     t = durations[:, None, None, None]
     half = (eigvals[..., :, None] - eigvals[..., None, :]) * (0.5 * t)
@@ -161,6 +166,10 @@ def evolve(
         Full propagator (product of segment exponentials, last segment
         leftmost), its computational block, and per-input diagnostics.
     """
+    import numpy as np
+
+    from . import qcore
+
     opts = options or SimulationOptions()
     n = schedule.n_atoms
     if n != params.n_atoms:

@@ -3,13 +3,17 @@
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def deutsch_ideal(theta: float) -> np.ndarray:
     """8x8 gate: identity on the first six states, the 2x2 block
     [[i cos(theta), sin(theta)], [sin(theta), i cos(theta)]] on |110>, |111>."""
+    import numpy as np
+
     if not 0.0 <= theta <= math.pi:
         raise ValueError(f"theta must lie in [0, pi], got {theta}")
     gate = np.eye(8, dtype=complex)
@@ -20,6 +24,8 @@ def deutsch_ideal(theta: float) -> np.ndarray:
 
 def toffoli_ideal() -> np.ndarray:
     """Controlled-controlled-NOT: swaps |110> and |111>."""
+    import numpy as np
+
     gate = np.eye(8, dtype=complex)
     gate[6, 6] = gate[7, 7] = 0.0
     gate[6, 7] = gate[7, 6] = 1.0
@@ -28,6 +34,8 @@ def toffoli_ideal() -> np.ndarray:
 
 def cnot_ideal() -> np.ndarray:
     """Controlled-NOT: swaps |10> and |11>."""
+    import numpy as np
+
     gate = np.eye(4, dtype=complex)
     gate[2, 2] = gate[3, 3] = 0.0
     gate[2, 3] = gate[3, 2] = 1.0
@@ -43,6 +51,8 @@ def gate_fidelity(u_sim: np.ndarray, u_ideal: np.ndarray, mode: str = "state_ave
     Non-unitary simulated blocks are compared as-is, so leakage and decay
     register as infidelity.
     """
+    import numpy as np
+
     u_sim = np.asarray(u_sim, dtype=complex)
     u_ideal = np.asarray(u_ideal, dtype=complex)
     if u_sim.shape != u_ideal.shape or u_sim.ndim != 2 or u_sim.shape[0] != u_sim.shape[1]:

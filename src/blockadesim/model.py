@@ -14,14 +14,21 @@ import functools
 import math
 import sys
 from dataclasses import dataclass, replace
+from itertools import product
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import qcore
+if TYPE_CHECKING:
+    import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
 GROUND_LEVELS = ("g0", "g1")
+
+
+def computational_labels(n_atoms: int) -> list[str]:
+    """Bit-string labels of the 2**n computational basis states in gate
+    order: "0..0", "0..1", ..., "1..1"."""
+    return ["".join(bits) for bits in product("01", repeat=n_atoms)]
 
 
 def vdw_shift(c6_over_2pi: float, distance: float) -> float:
@@ -94,6 +101,10 @@ def interaction_diagonal(
     ``params.control_residue`` where both controls are (``"physical"``
     only).  Computed once per ``(params, cc_interaction)`` and returned
     read-only."""
+    import numpy as np
+
+    from . import qcore
+
     if cc_interaction not in ("physical", "none"):
         raise ValueError(
             f"cc_interaction must be 'physical' or 'none', got {cc_interaction!r}"
@@ -194,6 +205,10 @@ def segment_hamiltonian(
     Each coupling's ``rabi/2`` and its conjugate are scattered onto the
     index pairs of :func:`qcore.coupling_indices`.
     """
+    import numpy as np
+
+    from . import qcore
+
     n = params.n_atoms
     h = np.diag(interaction_diagonal(params, cc_interaction).astype(complex))
     couplings = qcore.coupling_indices(n)

@@ -10,10 +10,12 @@ rad/us and all times are us throughout the package.
 from __future__ import annotations
 
 import functools
-from itertools import product
 from typing import NamedTuple, Sequence
 
 import numpy as np
+
+# numpy-free, so that the budget can label inputs without importing numpy
+from .model import computational_labels  # noqa: F401  (re-exported)
 
 LEVELS = ("g0", "g1", "r")
 LEVEL_CODE = {"g0": 0, "g1": 1, "r": 2}
@@ -47,12 +49,6 @@ def basis_index(levels: Sequence[str]) -> int:
             ) from None
         index = 3 * index + code
     return index
-
-
-def computational_labels(n_atoms: int) -> list[str]:
-    """Bit-string labels of the 2**n computational basis states in gate
-    order: "0..0", "0..1", ..., "1..1"."""
-    return ["".join(bits) for bits in product("01", repeat=n_atoms)]
 
 
 # Integer index tables of a register: each is computed once per register

@@ -7,8 +7,10 @@ import subprocess
 import sys
 import textwrap
 
+import numpy
 import pytest
 
+import blockadesim
 from blockadesim.budget import SWEEP_MAX_POINTS
 from blockadesim import cli
 from blockadesim.cli import CSV_COLUMNS, FIELDS, build_parser, main
@@ -89,6 +91,25 @@ def test_simulate_cnot_high_fidelity(tmp_path):
     assert payload["fidelity"]["state_average"] > 0.99
     assert payload["unitarity_defect"] < 1e-9
     assert set(payload["leakage_per_input"]) == {"00", "01", "10", "11"}
+
+
+def test_simulate_records_its_provenance(tmp_path, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    payload = run_json(tmp_path, "sim.json", ["simulate", "--gate", "cnot"])
+    assert payload["provenance"] == {
+        "blockadesim": blockadesim.__version__,
+        "python": "{}.{}.{}".format(*sys.version_info),
+        "numpy": numpy.__version__,
+        "blas_env": {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None,
+                     "MKL_NUM_THREADS": None},
+    }
+
+
+@pytest.mark.parametrize("sub", ["synth", "budget", "phase"])
+def test_analytic_artifacts_carry_no_provenance(tmp_path, sub):
+    assert "provenance" not in run_json(tmp_path, "out.json", [sub])
 
 
 def test_simulate_blockade_limit(tmp_path):
