@@ -2,10 +2,10 @@
 Deutsch, Toffoli, and CNOT gates on neutral atoms.
 
 Only the simulator computes with numpy.  ``qcore`` imports it at the top;
-``model``, ``evolve`` and ``ideal`` import it (and ``qcore``) inside the
-functions that use it.  So importing the package, the closed-form budget
-and the CLI's ``budget``, ``sweep``, ``synth`` and ``phase`` subcommands load
-no numpy, and save its import (about 0.15 s) at every process start.
+``model``, ``evolve`` and ``ideal`` import numpy, and ``qcore`` where they
+need it, inside the functions that use them.  So importing the package, the
+closed-form budget and the CLI's ``budget``, ``sweep``, ``synth`` and
+``phase`` subcommands load no numpy and skip its import at process start.
 """
 
 from .budget import (
