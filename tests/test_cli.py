@@ -107,11 +107,6 @@ def test_simulate_records_its_provenance(tmp_path, monkeypatch):
     }
 
 
-@pytest.mark.parametrize("sub", ["synth", "budget", "phase"])
-def test_analytic_artifacts_carry_no_provenance(tmp_path, sub):
-    assert "provenance" not in run_json(tmp_path, "out.json", [sub])
-
-
 def test_simulate_blockade_limit(tmp_path):
     payload = run_json(
         tmp_path,
