@@ -27,6 +27,7 @@ import json
 import math
 import os
 import sys
+import time
 from dataclasses import asdict, dataclass
 from operator import attrgetter
 
@@ -418,15 +419,20 @@ def provenance_block() -> dict:
 def cmd_simulate(cfg: dict, drive: DriveParams, out: str | None) -> None:
     from .qcore import unitarity_defect
 
+    start = time.perf_counter()
     build_schedule, ideal_gate = gate_functions(cfg["gate"])
     schedule = build_schedule(drive)
     params = build_params(cfg)
     options = build_options(cfg)
+    built = time.perf_counter()
     result = evolve(schedule, params, options)
+    evolved = time.perf_counter()
 
     ideal = ideal_gate(drive)
     fid_avg = gate_fidelity(result.computational_block, ideal)
     fid_trace = gate_fidelity(result.computational_block, ideal, mode="trace")
+    defect = unitarity_defect(result.full_propagator)
+    measured = time.perf_counter()
 
     payload = {
         "config": cfg,
@@ -440,8 +446,14 @@ def cmd_simulate(cfg: dict, drive: DriveParams, out: str | None) -> None:
             "correction_rad": result.phase_correction,
             "mismatch_rad": result.phase_mismatch,
         },
-        "unitarity_defect": unitarity_defect(result.full_propagator),
+        "unitarity_defect": defect,
         "provenance": provenance_block(),
+        # wall times of this run, so they differ between runs
+        "timings_ms": {
+            "schedule": 1e3 * (built - start),
+            "evolve": 1e3 * (evolved - built),
+            "metrics": 1e3 * (measured - evolved),
+        },
     }
     summary = (
         f"{cfg['gate']}: state-average fidelity {fid_avg:.6f}, "

@@ -8,17 +8,22 @@ is exact per segment as well, at a cost independent of segment durations.
 Decay is an effective non-Hermitian term -i/(2 tau) on every Rydberg
 projector: lost norm equals the decay probability, branching is not tracked.
 
-Sector packing: a coupling links ``|lower>`` and ``|r>`` of one atom, so the
-Hamiltonians, the decay term and the Rydberg weights are block-diagonal, each
-block a product of per-atom level groups (``r`` with the lower levels the
-schedule couples to it, every other level alone).
-In the paper's protocols every control pulse drives ``g0 <-> r`` only, which
-gives blocks of 12, 6, 6 and 3 states for three atoms and 6 and 3 for two.
+Sector packing, segment by segment: a coupling links ``|lower>`` and ``|r>``
+of one atom, so each segment's Hamiltonian, decay term and Rydberg weights
+are block-diagonal, each block a product of per-atom level groups (``r`` with
+the lower levels that segment couples to it, every other level alone).  In
+the paper's protocols each pulse drives one atom: a control pulse gives
+blocks of 4, 2, 2 and 1 states per target level (2 and 1 for the CNOT), a
+target pulse one 3-state Lambda block per control configuration.
 :func:`evolve` gathers every segment's blocks into one zero-padded
-``(segments, blocks, m, m)`` stack, makes one batched exponential call on it,
-chains the segments with batched products and scatters the blocks into the
-full propagator once.  The blocks, the gather and scatter tables and the
-Rydberg weights come cached from :func:`qcore.sector_layout`.
+``(blocks, m, m)`` stack, ``(51, 4, 4)`` for the Deutsch gate, makes one
+batched exponential call on it, scatters the block steps into full-space
+segment steps and chains those.  The blocks, the gather and scatter indices
+and the Rydberg weights come cached from :func:`qcore.segment_layout`.  The
+padded stack costs less than the schedule-wide sectors (12 + 6 + 6 + 3
+states for three atoms) that it replaces: a batched ``eigh`` of a
+``(51, 4, 4)`` stack takes about a third of the time of one of a
+``(5, 4, 12, 12)`` stack.
 
 One decomposition per run: with the dwell on, one batched ``eigh`` of the
 Hermitian stack feeds both the dwell kernel and, with decay off, the unitary
@@ -26,8 +31,9 @@ segment steps (handed to :func:`qcore.matrix_exponential` as ``eig``).  The
 dwell takes each segment's start states from the running products of the
 unitary steps: the propagator chain itself with decay off, or the steps
 built from the same ``eigh`` with decay on (the Pade steps carry the decay,
-which the dwell leaves out).  It is then a few batched products over all
-segments at once.
+which the dwell leaves out).  The computational columns of those products
+are gathered into each block's slots, and the integral is a few batched
+products over the blocks of all segments at once.
 """
 
 from __future__ import annotations
@@ -100,8 +106,19 @@ def _running_products(steps: np.ndarray) -> np.ndarray:
     products = np.empty_like(steps)
     products[0] = steps[0]
     for k in range(1, len(steps)):
-        products[k] = steps[k] @ products[k - 1]
+        np.matmul(steps[k], products[k - 1], out=products[k])
     return products
+
+
+def _chain(steps: np.ndarray, layout, n_segments: int, dim: int) -> np.ndarray:
+    """Scatter a stack of block steps into full-space segment steps with
+    ``layout`` (a :class:`qcore.SegmentLayout`) and return their running
+    products."""
+    import numpy as np
+
+    full = np.zeros(n_segments * dim * dim, dtype=complex)
+    full[layout.entries] = steps[layout.pairs]
+    return _running_products(full.reshape(n_segments, dim, dim))
 
 
 def _integrate_dwell(
@@ -109,28 +126,29 @@ def _integrate_dwell(
     eigvecs: np.ndarray,
     durations: np.ndarray,
     weights: np.ndarray,
-    products: np.ndarray,
+    starts: np.ndarray,
 ) -> np.ndarray:
-    """Exact integral of the total Rydberg population from each basis state
-    of each block.
+    """Exact integral of the total Rydberg population from each input.
 
-    ``eigvals`` and ``eigvecs`` decompose the ``(segments, n_blocks, m, m)``
-    stack of Hermitian segment blocks, ``weights`` are the ``(n_blocks, m)``
-    Rydberg counts, and ``products[s]`` the unitary evolution through
-    segment ``s``, so segment ``s`` starts from ``products[s - 1]`` (the
-    first from the identity).  The result's entry ``[b, j]`` is the dwell of
-    the input in slot ``j`` of block ``b``.  In a segment's eigenbasis, with
-    ``c = V^dag psi`` and ``M = V^dag W V``, the population is
-    ``sum_jk conj(c_j) M_jk c_k exp(i (lam_j - lam_k) t)``, whose integral
+    ``eigvals`` and ``eigvecs`` decompose the ``(n_blocks, m, m)`` stack of
+    Hermitian blocks, ``durations`` and ``weights`` are each block's segment
+    duration and the ``(n_blocks, m)`` Rydberg counts of its slots, and
+    ``starts[b]`` holds the ``(m, inputs)`` amplitudes of the inputs in the
+    slots of block ``b`` when its segment starts, zero in the padding.  The
+    integral stays in the padded blocks: ``eigh`` mixes a padding slot with
+    a block state of the same eigenvalue (0, for a Lambda block's dark
+    state), so only the two together span the block.  In a block's
+    eigenbasis, with ``c = V^dag psi`` and ``M = V^dag W V``, the population
+    is ``sum_jk conj(c_j) M_jk c_k exp(i (lam_j - lam_k) t)``, whose integral
     over [0, T] weights ``M_jk`` by ``T exp(i x_jk) sin(x_jk) / x_jk`` with
     ``x_jk = (lam_j - lam_k) T / 2``, which is ``T`` for degenerate
-    eigenvalues.  All segments go through the same batched products, so
-    there is no loop over segments.
+    eigenvalues.  The blocks of all segments go through the same batched
+    products, so there is no loop over segments.
     """
     import numpy as np
 
     adjoint = eigvecs.conj().swapaxes(-1, -2)
-    t = durations[:, None, None, None]
+    t = durations[:, None, None]
     half = (eigvals[..., :, None] - eigvals[..., None, :]) * (0.5 * t)
     sin = np.sin(half)
     scale = t * np.divide(sin, half, out=np.ones_like(half), where=half != 0)
@@ -138,10 +156,8 @@ def _integrate_dwell(
     kernel.real = np.cos(half) * scale
     kernel.imag = sin * scale
     weighted = ((adjoint * weights[:, None, :]) @ eigvecs) * kernel
-    coeffs = np.empty_like(adjoint)
-    coeffs[0] = adjoint[0]
-    np.matmul(adjoint[1:], products[:-1], out=coeffs[1:])
-    return np.sum(coeffs.conj() * (weighted @ coeffs), axis=(0, -2)).real
+    coeffs = adjoint @ starts
+    return np.sum(coeffs.conj() * (weighted @ coeffs), axis=(0, 1)).real
 
 
 def evolve(
@@ -180,21 +196,25 @@ def evolve(
         raise ValueError(f"decay_tau must be > 0, got {opts.decay_tau}")
 
     dim = 3**n
+    comp = qcore.computational_indices(n)
+    labels = qcore.computational_labels(n)
     hamiltonians = [
         segment_hamiltonian(seg, params, cc_interaction=opts.cc_interaction)
         for seg in schedule.segments
     ]
-    durations = np.array([seg.duration for seg in schedule.segments])
-    couplings = frozenset(
-        (tr.atom, tr.lower) for seg in schedule.segments for tr in seg.transitions
-    )
-    layout = qcore.sector_layout(n, couplings)
 
     propagator = np.eye(dim, dtype=complex)
+    dwell = dict.fromkeys(labels, 0.0) if opts.compute_dwell else None
     hermitian = opts.decay_tau is None
     if hamiltonians:
-        blocks = np.zeros((len(durations), *layout.pairs.shape), dtype=complex)
-        blocks[:, layout.pairs] = np.stack(hamiltonians)[:, layout.rows, layout.cols]
+        n_segments = len(hamiltonians)
+        layout = qcore.segment_layout(n, tuple(
+            frozenset((tr.atom, tr.lower) for tr in seg.transitions)
+            for seg in schedule.segments
+        ))
+        durations = np.array([seg.duration for seg in schedule.segments])[layout.segment]
+        blocks = np.zeros(layout.pairs.shape, dtype=complex)
+        blocks[layout.pairs] = np.stack(hamiltonians).reshape(-1)[layout.entries]
         h_eff = blocks
         if not hermitian:
             # a Python float, so a tiny lifetime overflows to inf without a
@@ -210,14 +230,24 @@ def evolve(
         # one decomposition serves the unitary steps and the dwell
         eig = np.linalg.eigh(blocks) if opts.compute_dwell else None
         steps = qcore.matrix_exponential(
-            h_eff, durations[:, None], hermitian=hermitian, eig=eig if hermitian else None
+            h_eff, durations, hermitian=hermitian, eig=eig if hermitian else None
         )
-        products = _running_products(steps)
-        propagator = np.zeros((dim, dim), dtype=complex)
-        propagator[layout.rows, layout.cols] = products[-1][layout.pairs]
-
-    comp = qcore.computational_indices(n)
-    labels = qcore.computational_labels(n)
+        products = _chain(steps, layout, n_segments, dim)
+        propagator = products[-1]
+        if opts.compute_dwell:
+            # each segment starts from the running product of the unitary
+            # steps before it: the propagator chain itself when decay is off
+            if not hermitian:
+                unitary = qcore.eigen_exponential(*eig, durations)
+                products = _chain(unitary, layout, n_segments, dim)
+            # the inputs at each segment start, and a zero row for the padding
+            starts = np.zeros((n_segments, dim + 1, len(comp)), dtype=complex)
+            starts[0, comp, np.arange(len(comp))] = 1.0
+            starts[1:, :dim] = products[:-1, :, comp]
+            totals = _integrate_dwell(
+                *eig, durations, layout.weights, starts[layout.segment[:, None], layout.basis]
+            )
+            dwell = {lab: float(t) for lab, t in zip(labels, totals)}
 
     # Residue phase on the doubly excited controls, predicted from the dwell
     # span between the two control pulses.  The simulated phase additionally
@@ -237,18 +267,6 @@ def evolve(
     # rounding can push 1 - p a few ulp below zero
     leakage = {lab: max(0.0, float(1.0 - p)) for lab, p in zip(labels, comp_population)}
     norm_loss = {lab: float(1.0 - p) for lab, p in zip(labels, total_population)}
-
-    dwell = None
-    if opts.compute_dwell and hamiltonians:
-        # each segment starts from the running product of the unitary steps
-        # before it: the propagator chain itself when decay is off
-        if not hermitian:
-            products = _running_products(qcore.eigen_exponential(*eig, durations[:, None]))
-        totals = _integrate_dwell(*eig, durations, layout.weights, products)
-        picked = totals.ravel()[layout.slot[comp]]
-        dwell = {lab: float(t) for lab, t in zip(labels, picked)}
-    elif opts.compute_dwell:
-        dwell = {lab: 0.0 for lab in labels}
 
     return SimulationResult(
         full_propagator=propagator,

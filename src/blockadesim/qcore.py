@@ -99,17 +99,12 @@ class SectorLayout(NamedTuple):
     ``pairs`` is the ``(n_blocks, m, m)`` mask of entries inside a block;
     ``rows`` and ``cols`` are the full-space indices of those entries in
     mask order, so ``blocks[..., pairs] = full[..., rows, cols]`` gathers and
-    ``full[rows, cols] = blocks[pairs]`` scatters.  ``weights`` is the
-    ``(n_blocks, m)`` Rydberg count of each slot (0 in the padding), and
-    ``slot[i]`` the flat ``(n_blocks * m)`` position of basis index ``i``,
-    so basis index ``i`` lies in block ``slot[i] // m``.
+    ``full[rows, cols] = blocks[pairs]`` scatters.
     """
 
     pairs: np.ndarray
     rows: np.ndarray
     cols: np.ndarray
-    weights: np.ndarray
-    slot: np.ndarray
 
 
 @functools.cache
@@ -144,11 +139,65 @@ def sector_layout(
     pairs = valid[:, :, None] & valid[:, None, :]
     rows = np.broadcast_to(index[:, :, None], pairs.shape)[pairs]
     cols = np.broadcast_to(index[:, None, :], pairs.shape)[pairs]
-    in_r = codes == LEVEL_CODE["r"]
-    weights = np.where(valid, in_r.sum(axis=0)[index], 0.0)
-    slot = np.empty(3**n_atoms, dtype=np.intp)
-    slot[index[valid]] = np.flatnonzero(valid)
-    return SectorLayout(*map(_read_only, (pairs, rows, cols, weights, slot)))
+    return SectorLayout(*map(_read_only, (pairs, rows, cols)))
+
+
+class SegmentLayout(NamedTuple):
+    """How a schedule's segment Hamiltonians map onto one padded stack of the
+    blocks that each segment's own couplings give.
+
+    ``pairs`` is the ``(n_blocks, m, m)`` mask of entries inside a block and
+    ``entries`` the flat index of each of those entries, in mask order, into
+    the ``(segments, 3**n, 3**n)`` stack of full-space operators, so
+    ``blocks[pairs] = stack.reshape(-1)[entries]`` gathers and
+    ``stack.reshape(-1)[entries] = blocks[pairs]`` scatters.  ``segment`` is the
+    segment of each block, ``basis`` the ``(n_blocks, m)`` full-space basis
+    index of each slot (``3**n`` in the padding) and ``weights`` its Rydberg
+    count (0 in the padding).
+    """
+
+    pairs: np.ndarray
+    entries: np.ndarray
+    segment: np.ndarray
+    basis: np.ndarray
+    weights: np.ndarray
+
+
+@functools.cache
+def segment_layout(
+    n_atoms: int, segment_couplings: tuple[frozenset[tuple[int, str]], ...]
+) -> SegmentLayout:
+    """The :func:`sector_layout` blocks of each segment's ``(atom, lower)``
+    couplings, in segment order and padded to the largest block size of the
+    schedule, as a :class:`SegmentLayout` computed once per register size and
+    tuple of coupling sets; every array is read-only.
+
+    A pulse of the paper's protocols drives one atom, so these blocks are far
+    smaller than the sectors of the whole schedule's couplings: a control
+    pulse of a three-atom gate gives blocks of 4, 2, 2 and 1 states per
+    target level, a target pulse nine blocks of 3.
+    """
+    dim = 3**n_atoms
+    layouts = [sector_layout(n_atoms, couplings) for couplings in segment_couplings]
+    m = max(layout.pairs.shape[-1] for layout in layouts)
+    pairs, entries, segment = [], [], []
+    for s, layout in enumerate(layouts):
+        n_blocks, size = layout.pairs.shape[:2]
+        # padding appends false entries to each row and block, so the mask
+        # order of the padded blocks is that of the layout's own
+        padded = np.zeros((n_blocks, m, m), dtype=bool)
+        padded[:, :size, :size] = layout.pairs
+        pairs.append(padded)
+        entries.append((s * dim + layout.rows) * dim + layout.cols)
+        segment.append(np.full(n_blocks, s))
+    pairs, entries, segment = map(np.concatenate, (pairs, entries, segment))
+    # slot 0 of every block holds a state, so column 0 gives each slot's row
+    rows = np.full(pairs.shape, dim)
+    rows[pairs] = entries // dim % dim
+    basis = rows[:, :, 0].copy()
+    in_r = level_codes(n_atoms) == LEVEL_CODE["r"]
+    weights = np.append(in_r.sum(axis=0), 0)[basis].astype(float)
+    return SegmentLayout(*map(_read_only, (pairs, entries, segment, basis, weights)))
 
 
 def is_hermitian(matrix: np.ndarray, tol: float = 1e-12) -> bool:

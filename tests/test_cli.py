@@ -107,6 +107,15 @@ def test_simulate_records_its_provenance(tmp_path, monkeypatch):
     }
 
 
+@pytest.mark.parametrize("gate", ["deutsch", "cnot"])
+def test_simulate_records_its_stage_timings(tmp_path, gate):
+    payload = run_json(tmp_path, "sim.json", ["simulate", "--gate", gate])
+    timings = payload["timings_ms"]
+    assert set(timings) == {"schedule", "evolve", "metrics"}
+    for value in timings.values():
+        assert isinstance(value, float) and math.isfinite(value) and value >= 0.0
+
+
 def test_simulate_blockade_limit(tmp_path):
     payload = run_json(
         tmp_path,

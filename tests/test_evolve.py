@@ -410,7 +410,11 @@ def schedule_blocks(schedule):
         (tr.atom, tr.lower) for seg in schedule.segments for tr in seg.transitions
     )
     layout = qcore.sector_layout(schedule.n_atoms, couplings)
-    return layout.slot // layout.pairs.shape[-1]
+    # a block's diagonal entries are its basis states
+    diagonal = layout.rows == layout.cols
+    block_of = np.empty(3**schedule.n_atoms, dtype=np.intp)
+    block_of[layout.rows[diagonal]] = np.nonzero(layout.pairs)[0][diagonal]
+    return block_of
 
 
 def assert_matches_reference(schedule, params, decay_tau, cc, prop_tol, dwell_rtol):
@@ -460,6 +464,40 @@ def test_sector_evolve_matches_reference_across_the_grid(decay_tau):
         assert_matches_reference(
             deutsch_schedule(drive), REF_PARAMS, decay_tau, "physical", 5e-12, 1e-13
         )
+
+
+def mixing_degenerate_eigenvectors(eigh):
+    """``eigh`` with every pair of equal eigenvalues' eigenvectors rotated
+    into each other, as LAPACK may return them.  A padding slot's eigenvalue
+    0 equals a Lambda block's dark state's, and a 1-state block padded to
+    ``m`` has ``m`` zero eigenvalues."""
+    def mixed(a):
+        eigvals, eigvecs = eigh(a)
+        eigvecs = eigvecs.copy()
+        for index in np.ndindex(eigvals.shape[:-1]):
+            lam, vecs = eigvals[index], eigvecs[index]
+            for j in np.flatnonzero(np.diff(lam) <= 1e-12 * max(1.0, np.abs(lam).max())):
+                pair = vecs[:, [j, j + 1]] @ np.array([[1.0, 1j], [1j, 1.0]])
+                vecs[:, [j, j + 1]] = pair / math.sqrt(2.0)
+        return eigvals, eigvecs
+    return mixed
+
+
+@pytest.mark.parametrize("decay_tau", [None, 1590.0])
+@pytest.mark.parametrize("builder,params", GATES)
+def test_dwell_in_padded_blocks_holds_under_degenerate_mixing(
+    monkeypatch, builder, params, decay_tau
+):
+    # the dwell must not drop the padding components of an eigenvector:
+    # where eigh mixes a padding slot into a block state, only the two
+    # together span the block
+    schedule = builder(DRIVE)
+    propagator, dwell = reference_evolve(schedule, params, decay_tau)
+    monkeypatch.setattr(np.linalg, "eigh", mixing_degenerate_eigenvectors(np.linalg.eigh))
+    result = evolve(schedule, params, SimulationOptions(decay_tau=decay_tau))
+    assert np.abs(result.full_propagator - propagator).max() <= 1e-13
+    for label, expected in dwell.items():
+        assert abs(result.dwell_per_input[label] - expected) <= 1e-13 * abs(expected), label
 
 
 @pytest.mark.parametrize("cc", ["physical", "none"])

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from blockadesim import qcore
-from blockadesim.model import PhysicalParams, interaction_diagonal
+from blockadesim.model import PhysicalParams, interaction_diagonal, segment_hamiltonian
+from blockadesim.schedule import DriveParams, cnot_schedule, deutsch_schedule, toffoli_schedule
 
 
 def two_level_rabi(omega, t):
@@ -67,16 +68,17 @@ def sector_layout(n_atoms):
 
 
 def rydberg_weights(n_atoms):
-    # without couplings every basis state is a block of its own, so the
-    # layout's weights are the Rydberg counts in basis order
-    return qcore.sector_layout(n_atoms, frozenset()).weights
+    # one segment without couplings makes every basis state a block of its
+    # own, so the table's weights are the Rydberg counts in basis order
+    return qcore.segment_layout(n_atoms, (frozenset(),)).weights
 
 
 def sector_blocks(layout):
-    """Basis indices of each block in slot order, recovered from ``slot``."""
-    m = layout.pairs.shape[-1]
-    order = np.argsort(layout.slot)
-    return np.split(order, np.cumsum(np.bincount(layout.slot // m))[:-1])
+    """Basis indices of each block in slot order, recovered from the
+    diagonal entries of ``rows`` and ``cols``."""
+    diagonal = layout.rows == layout.cols
+    block = np.nonzero(layout.pairs)[0][diagonal]
+    return np.split(layout.rows[diagonal], np.cumsum(np.bincount(block))[:-1])
 
 
 def test_rydberg_weights():
@@ -87,6 +89,19 @@ def test_rydberg_weights():
     assert w[26] == 3
 
 
+def segment_couplings(schedule):
+    return tuple(
+        frozenset((tr.atom, tr.lower) for tr in seg.transitions) for seg in schedule.segments
+    )
+
+
+DRIVE = DriveParams.from_ratio(2.0 * math.pi * 10.0, 2.0 * math.pi * 0.54, 2.0)
+
+
+def deutsch_segment_layout(n_atoms):
+    return qcore.segment_layout(n_atoms, segment_couplings(deutsch_schedule(DRIVE)))
+
+
 def interaction_diagonal_physical(n_atoms):
     return interaction_diagonal(PhysicalParams(-633.0, 6.0, 1590.0, n_atoms), "physical")
 
@@ -94,7 +109,8 @@ def interaction_diagonal_physical(n_atoms):
 @pytest.mark.parametrize(
     "table",
     [qcore.level_codes, qcore.computational_indices, rydberg_weights,
-     qcore.coupling_indices, sector_layout, interaction_diagonal_physical],
+     qcore.coupling_indices, sector_layout, deutsch_segment_layout,
+     interaction_diagonal_physical],
 )
 def test_register_tables_are_cached_and_read_only(table):
     assert table(3) is table(3)
@@ -111,22 +127,19 @@ def test_sector_layout_gathers_and_scatters_the_blocks(n_atoms, couplings):
     layout = qcore.sector_layout(n_atoms, couplings)
     dim = 3**n_atoms
     # an operator that is nonzero exactly on the in-block entries
-    block_of = layout.slot // layout.pairs.shape[-1]
-    same_block = block_of[:, None] == block_of[None, :]
+    same_block = np.zeros((dim, dim), dtype=bool)
+    for block in sector_blocks(layout):
+        same_block[np.ix_(block, block)] = True
     full = np.where(same_block, 1.0 + np.arange(dim * dim).reshape(dim, dim), 0.0)
     blocks = np.zeros(layout.pairs.shape)
     blocks[layout.pairs] = full[layout.rows, layout.cols]
     back = np.zeros_like(full)
     back[layout.rows, layout.cols] = blocks[layout.pairs]
     np.testing.assert_array_equal(back, full)
-    # slots outside every block are padding: no pair, no weight
-    valid = np.zeros(layout.weights.size, dtype=bool)
-    valid[layout.slot] = True
-    valid = valid.reshape(layout.weights.shape)
+    # each block fills its first slots, the rest is padding
+    valid = np.diagonal(layout.pairs, axis1=1, axis2=2)
     np.testing.assert_array_equal(layout.pairs, valid[:, :, None] & valid[:, None, :])
-    assert np.all(layout.weights[~valid] == 0)
-    in_r = qcore.level_codes(n_atoms) == qcore.LEVEL_CODE["r"]
-    np.testing.assert_array_equal(layout.weights.ravel()[layout.slot], in_r.sum(axis=0))
+    assert np.all(valid[:, :-1] >= valid[:, 1:])
 
 
 @pytest.mark.parametrize(
@@ -143,7 +156,7 @@ def test_sectors_split_by_controls_in_g1(n_atoms, couplings, sizes):
         assert np.all(np.diff(block) > 0)
     assert qcore.sector_layout(n_atoms, couplings) is layout
     with pytest.raises(ValueError):
-        layout.slot[0] = 5
+        layout.rows[0] = 5
 
 
 @pytest.mark.parametrize("n_atoms", [1, 2, 3, 4])
@@ -166,6 +179,64 @@ def test_sectors_are_the_connected_components_of_any_coupling_set(n_atoms):
         assert np.array_equal(same_block, reach), sorted(couplings)
         # blocks come in the order of their first basis index
         assert np.all(np.diff([block[0] for block in blocks]) > 0), sorted(couplings)
+
+
+# (builder, register, blocks, padded size, block sizes of a control pulse in
+# each target level); a target pulse gives one 3-state block per level pair
+# of the controls
+SEGMENT_STACKS = [
+    (deutsch_schedule, 3, 51, 4, [4, 2, 2, 1]),
+    (toffoli_schedule, 3, 33, 4, [4, 2, 2, 1]),
+    (cnot_schedule, 2, 15, 3, [2, 1]),
+]
+
+
+@pytest.mark.parametrize("builder,n_atoms,n_blocks,m,control_sizes", SEGMENT_STACKS)
+def test_segment_stack_block_sizes(builder, n_atoms, n_blocks, m, control_sizes):
+    schedule = builder(DRIVE)
+    layout = qcore.segment_layout(n_atoms, segment_couplings(schedule))
+    assert layout.pairs.shape == (n_blocks, m, m)
+    valid = np.diagonal(layout.pairs, axis1=1, axis2=2)
+    sizes = valid.sum(axis=1)
+    target_level = layout.basis[:, 0] % 3
+    assert np.all(np.diff(layout.segment) >= 0)
+    for s, seg in enumerate(schedule.segments):
+        mine = layout.segment == s
+        # each segment's blocks hold every basis state once
+        assert sorted(layout.basis[mine][valid[mine]]) == list(range(3**n_atoms))
+        if {tr.atom for tr in seg.transitions} == {n_atoms - 1}:
+            assert sizes[mine].tolist() == [3] * 3 ** (n_atoms - 1)
+            continue
+        for level in range(3):
+            in_level = mine & (target_level == level)
+            assert sorted(sizes[in_level], reverse=True) == control_sizes
+            assert np.all((layout.basis[in_level] % 3 == level)[valid[in_level]])
+
+
+@pytest.mark.parametrize("builder,n_atoms", [row[:2] for row in SEGMENT_STACKS])
+def test_segment_stack_gathers_and_scatters_every_segment_hamiltonian(builder, n_atoms):
+    schedule = builder(DRIVE)
+    params = PhysicalParams(-633.0, 6.0, 1590.0, n_atoms)
+    layout = qcore.segment_layout(n_atoms, segment_couplings(schedule))
+    stack = np.stack([segment_hamiltonian(seg, params) for seg in schedule.segments])
+    blocks = np.zeros(layout.pairs.shape, dtype=complex)
+    blocks[layout.pairs] = np.take(stack, layout.entries)
+    back = np.zeros_like(stack)
+    np.put(back, layout.entries, blocks[layout.pairs])
+    np.testing.assert_array_equal(back, stack)
+    # each block gathers its own segment's entries between its own slots
+    segment, rows, cols = np.unravel_index(layout.entries, stack.shape)
+    block, j, k = np.nonzero(layout.pairs)
+    np.testing.assert_array_equal(segment, layout.segment[block])
+    np.testing.assert_array_equal(rows, layout.basis[block, j])
+    np.testing.assert_array_equal(cols, layout.basis[block, k])
+    # padding slots: the row past the basis, no weight
+    dim = 3**n_atoms
+    valid = np.diagonal(layout.pairs, axis1=1, axis2=2)
+    assert np.all(layout.basis[~valid] == dim)
+    assert np.all(layout.weights[~valid] == 0)
+    in_r = qcore.level_codes(n_atoms) == qcore.LEVEL_CODE["r"]
+    np.testing.assert_array_equal(layout.weights[valid], in_r.sum(axis=0)[layout.basis[valid]])
 
 
 def test_matrix_exponential_requires_the_hermitian_keyword():
