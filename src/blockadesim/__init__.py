@@ -14,12 +14,9 @@ from .budget import (
     argmin_total,
     avg_dwell,
     blockade_error,
-    decay_error,
     dwell_table,
     error_budget,
     sweep,
-    total_error,
-    two_photon_error,
 )
 from .evolve import (
     SimulationOptions,
@@ -62,7 +59,6 @@ __all__ = [
     "blockade_error",
     "cnot_ideal",
     "cnot_schedule",
-    "decay_error",
     "deutsch_ideal",
     "deutsch_schedule",
     "dwell_table",
@@ -76,7 +72,5 @@ __all__ = [
     "theta_from_omegas",
     "toffoli_ideal",
     "toffoli_schedule",
-    "total_error",
-    "two_photon_error",
     "vdw_shift",
 ]

@@ -59,12 +59,6 @@ class ErrorBudget:
         return self.decay + self.blockade + self.two_photon
 
 
-def control_dwell(drive: DriveParams) -> float:
-    """Rydberg time of one Deutsch control excited for the whole interior:
-    pi/w0 + 2 * 2pi/wbar + sqrt(2) pi/w3, us."""
-    return _control_dwell(segment_durations("deutsch", drive))
-
-
 def _control_dwell(durations: tuple[float, ...]) -> float:
     # half of each control pulse plus the interior
     return 0.5 * (durations[0] + durations[-1]) + sum(durations[1:-1])
@@ -106,13 +100,14 @@ def _dwell_rows(
 
 def avg_dwell(drive: DriveParams) -> float:
     """The paper's closed form of the mean Deutsch dwell over the eight
-    inputs: T_x + pi/(4 wbar) + pi/(8 sqrt(2) w3), us.
+    inputs: T_x + pi/(4 wbar) + pi/(8 sqrt(2) w3), us, with the control dwell
+    T_x = pi/w0 + 2 * 2pi/wbar + sqrt(2) pi/w3.
 
     Equality with the mean of :func:`dwell_table` rests on the identity
     w2^2 (w2^2 - 3 w1^2)^2 + w1^2 (w1^2 - 3 w2^2)^2 = (w1^2 + w2^2)^3.
     """
     return (
-        control_dwell(drive)
+        _control_dwell(segment_durations("deutsch", drive))
         + math.pi / (4.0 * drive.omega_bar)
         + math.pi / (8.0 * SQRT2 * drive.omega3)
     )
@@ -124,24 +119,12 @@ def _decay(mean_dwell: float, tau: float) -> float:
     return mean_dwell / tau
 
 
-def decay_error(drive: DriveParams, tau: float) -> float:
-    """Deutsch decay probability averaged over inputs: mean dwell / tau."""
-    table = dwell_table(drive)
-    return _decay(sum(table.values()) / len(table), tau)
-
-
 def blockade_error(residue: float, omega0: float) -> float:
     """Imperfect simultaneous control excitation under the control-control
     shift ``residue`` (rad/us): 2 residue^2 / omega0^2."""
     if not omega0 > 0:
         raise ValueError(f"omega0 must be > 0, got {omega0}")
     return 2.0 * residue**2 / omega0**2
-
-
-def two_photon_error(drive: DriveParams, v: float) -> float:
-    """Mean population loss of the Deutsch gate through the six
-    blockade-shift two-photon transitions."""
-    return _two_photon(segment_durations("deutsch", drive), drive, v, "deutsch")
 
 
 def _two_photon(
@@ -196,19 +179,6 @@ def error_budget(
         blockade=blockade_error(residue, drive.omega0),
         two_photon=_two_photon(durations, drive, params.blockade, gate),
     )
-
-
-def total_error(
-    drive: DriveParams, params: PhysicalParams, temperature: str
-) -> ErrorBudget:
-    """Budget with the lifetime picked by temperature ("4.2K" or "300K")."""
-    try:
-        tau = TAU_BY_TEMPERATURE[temperature]
-    except KeyError:
-        raise ValueError(
-            f"temperature must be one of {sorted(TAU_BY_TEMPERATURE)}, got {temperature!r}"
-        ) from None
-    return error_budget(drive, params, tau)
 
 
 @dataclass(frozen=True)

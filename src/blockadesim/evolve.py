@@ -21,9 +21,8 @@ batched exponential call on it, scatters the block steps into full-space
 segment steps and chains those.  The blocks, the gather and scatter indices
 and the Rydberg weights come cached from :func:`qcore.segment_layout`.  The
 padded stack costs less than the schedule-wide sectors (12 + 6 + 6 + 3
-states for three atoms) that it replaces: a batched ``eigh`` of a
-``(51, 4, 4)`` stack takes about a third of the time of one of a
-``(5, 4, 12, 12)`` stack.
+states for three atoms) would: a batched ``eigh`` of a ``(51, 4, 4)`` stack
+takes about a third of the time of one of a ``(5, 4, 12, 12)`` stack.
 
 One decomposition per run: with the dwell on, one batched ``eigh`` of the
 Hermitian stack feeds both the dwell kernel and, with decay off, the unitary
@@ -42,7 +41,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .model import GateSchedule, PhysicalParams, segment_hamiltonian
+from .model import GateSchedule, PhysicalParams, computational_labels, segment_hamiltonian
 from .schedule import residue_phase_over
 
 if TYPE_CHECKING:
@@ -98,27 +97,21 @@ def _wrap_angle(angle: float) -> float:
     return wrapped - math.pi
 
 
-def _running_products(steps: np.ndarray) -> np.ndarray:
-    """``products[k] = steps[k] @ ... @ steps[0]`` for a stack of segment
-    steps, last segment leftmost."""
-    import numpy as np
-
-    products = np.empty_like(steps)
-    products[0] = steps[0]
-    for k in range(1, len(steps)):
-        np.matmul(steps[k], products[k - 1], out=products[k])
-    return products
-
-
 def _chain(steps: np.ndarray, layout, n_segments: int, dim: int) -> np.ndarray:
     """Scatter a stack of block steps into full-space segment steps with
     ``layout`` (a :class:`qcore.SegmentLayout`) and return their running
-    products."""
+    products ``products[k] = step[k] @ ... @ step[0]``, last segment
+    leftmost."""
     import numpy as np
 
     full = np.zeros(n_segments * dim * dim, dtype=complex)
     full[layout.entries] = steps[layout.pairs]
-    return _running_products(full.reshape(n_segments, dim, dim))
+    full = full.reshape(n_segments, dim, dim)
+    products = np.empty_like(full)
+    products[0] = full[0]
+    for k in range(1, n_segments):
+        np.matmul(full[k], products[k - 1], out=products[k])
+    return products
 
 
 def _integrate_dwell(
@@ -197,7 +190,7 @@ def evolve(
 
     dim = 3**n
     comp = qcore.computational_indices(n)
-    labels = qcore.computational_labels(n)
+    labels = computational_labels(n)
     hamiltonians = [
         segment_hamiltonian(seg, params, cc_interaction=opts.cc_interaction)
         for seg in schedule.segments

@@ -14,9 +14,6 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-# numpy-free, so that the budget can label inputs without importing numpy
-from .model import computational_labels  # noqa: F401  (re-exported)
-
 LEVELS = ("g0", "g1", "r")
 LEVEL_CODE = {"g0": 0, "g1": 1, "r": 2}
 
@@ -93,55 +90,6 @@ def coupling_indices(n_atoms: int) -> np.ndarray:
     return _read_only(table)
 
 
-class SectorLayout(NamedTuple):
-    """How a full-space operator maps onto a padded stack of sector blocks.
-
-    ``pairs`` is the ``(n_blocks, m, m)`` mask of entries inside a block;
-    ``rows`` and ``cols`` are the full-space indices of those entries in
-    mask order, so ``blocks[..., pairs] = full[..., rows, cols]`` gathers and
-    ``full[rows, cols] = blocks[pairs]`` scatters.
-    """
-
-    pairs: np.ndarray
-    rows: np.ndarray
-    cols: np.ndarray
-
-
-@functools.cache
-def sector_layout(
-    n_atoms: int, couplings: frozenset[tuple[int, str]]
-) -> SectorLayout:
-    """The blocks of basis states that a set of ``(atom, lower)`` couplings
-    joins, as a :class:`SectorLayout` computed once per register size and
-    coupling set; every array is read-only.
-
-    A coupling links ``|lower>`` and ``|r>`` of one atom and nothing else, and
-    every other term of a segment Hamiltonian is diagonal, so any Hamiltonian
-    built from these couplings is block-diagonal, and each block is a product
-    of per-atom level groups: ``r`` with the lower levels coupled to it on
-    that atom, and each uncoupled lower level on its own.  Blocks are ordered
-    by their smallest basis index, and each holds its basis indices in
-    ascending order, padded to the largest block size ``m``.
-    """
-    codes = level_codes(n_atoms)
-    joined = np.zeros((n_atoms, 3), dtype=bool)
-    joined[:, LEVEL_CODE["r"]] = True
-    for atom, lower in couplings:
-        joined[atom, LEVEL_CODE[lower]] = True
-    # a block's smallest basis index puts every atom at the lowest level of
-    # its group, and that index labels each state of the block
-    lowest = np.where(joined, joined.argmax(axis=1)[:, None], np.arange(3))
-    label = 3 ** np.arange(n_atoms - 1, -1, -1) @ np.take_along_axis(lowest, codes, axis=1)
-    _, block, sizes = np.unique(label, return_inverse=True, return_counts=True)
-    valid = np.arange(sizes.max()) < sizes[:, None]
-    index = np.zeros(valid.shape, dtype=np.intp)
-    index[valid] = np.argsort(block, kind="stable")
-    pairs = valid[:, :, None] & valid[:, None, :]
-    rows = np.broadcast_to(index[:, :, None], pairs.shape)[pairs]
-    cols = np.broadcast_to(index[:, None, :], pairs.shape)[pairs]
-    return SectorLayout(*map(_read_only, (pairs, rows, cols)))
-
-
 class SegmentLayout(NamedTuple):
     """How a schedule's segment Hamiltonians map onto one padded stack of the
     blocks that each segment's own couplings give.
@@ -167,34 +115,42 @@ class SegmentLayout(NamedTuple):
 def segment_layout(
     n_atoms: int, segment_couplings: tuple[frozenset[tuple[int, str]], ...]
 ) -> SegmentLayout:
-    """The :func:`sector_layout` blocks of each segment's ``(atom, lower)``
-    couplings, in segment order and padded to the largest block size of the
-    schedule, as a :class:`SegmentLayout` computed once per register size and
-    tuple of coupling sets; every array is read-only.
+    """The blocks of basis states that each segment's ``(atom, lower)``
+    couplings join, in segment order and padded to the largest block size
+    ``m`` of the schedule, as a :class:`SegmentLayout` computed once per
+    register size and tuple of coupling sets; every array is read-only.
 
-    A pulse of the paper's protocols drives one atom, so these blocks are far
-    smaller than the sectors of the whole schedule's couplings: a control
-    pulse of a three-atom gate gives blocks of 4, 2, 2 and 1 states per
-    target level, a target pulse nine blocks of 3.
+    A coupling links ``|lower>`` and ``|r>`` of one atom and nothing else, and
+    every other term of a segment Hamiltonian is diagonal, so the Hamiltonian
+    is block-diagonal, and each block is a product of per-atom level groups:
+    ``r`` with the lower levels coupled to it on that atom, and each uncoupled
+    lower level on its own.  A segment's blocks are ordered by their smallest
+    basis index, and each holds its basis indices in ascending order.  A pulse
+    of the paper's protocols drives one atom, so a control pulse of a
+    three-atom gate gives blocks of 4, 2, 2 and 1 states per target level, a
+    target pulse nine blocks of 3.
     """
     dim = 3**n_atoms
-    layouts = [sector_layout(n_atoms, couplings) for couplings in segment_couplings]
-    m = max(layout.pairs.shape[-1] for layout in layouts)
-    pairs, entries, segment = [], [], []
-    for s, layout in enumerate(layouts):
-        n_blocks, size = layout.pairs.shape[:2]
-        # padding appends false entries to each row and block, so the mask
-        # order of the padded blocks is that of the layout's own
-        padded = np.zeros((n_blocks, m, m), dtype=bool)
-        padded[:, :size, :size] = layout.pairs
-        pairs.append(padded)
-        entries.append((s * dim + layout.rows) * dim + layout.cols)
-        segment.append(np.full(n_blocks, s))
-    pairs, entries, segment = map(np.concatenate, (pairs, entries, segment))
-    # slot 0 of every block holds a state, so column 0 gives each slot's row
-    rows = np.full(pairs.shape, dim)
-    rows[pairs] = entries // dim % dim
-    basis = rows[:, :, 0].copy()
+    joined = np.zeros((len(segment_couplings), n_atoms, 3), dtype=bool)
+    joined[..., LEVEL_CODE["r"]] = True
+    for s, couplings in enumerate(segment_couplings):
+        for atom, lower in couplings:
+            joined[s, atom, LEVEL_CODE[lower]] = True
+    # a block's smallest basis index puts every atom at the lowest level of
+    # its group, and that index, offset by the segment, labels each state of
+    # the block
+    lowest = np.where(joined, joined.argmax(axis=-1)[..., None], np.arange(3))
+    place = 3 ** np.arange(n_atoms - 1, -1, -1)
+    label = place @ lowest[:, np.arange(n_atoms)[:, None], level_codes(n_atoms)]
+    label += dim * np.arange(len(segment_couplings))[:, None]
+    first, block, sizes = np.unique(label, return_inverse=True, return_counts=True)
+    valid = np.arange(sizes.max()) < sizes[:, None]
+    basis = np.full(valid.shape, dim)
+    basis[valid] = np.argsort(block.ravel(), kind="stable") % dim
+    segment = first // dim
+    pairs = valid[:, :, None] & valid[:, None, :]
+    row = segment[:, None] * dim + basis
+    entries = (row[:, :, None] * dim + basis[:, None, :])[pairs]
     in_r = level_codes(n_atoms) == LEVEL_CODE["r"]
     weights = np.append(in_r.sum(axis=0), 0)[basis].astype(float)
     return SegmentLayout(*map(_read_only, (pairs, entries, segment, basis, weights)))
@@ -301,5 +257,7 @@ def pade_expm(a: np.ndarray) -> np.ndarray:
     )
     r = np.linalg.solve(even - odd, even + odd)
     for k in range(int(squarings.max(initial=0))):
-        r = np.where((squarings > k)[..., None, None], r @ r, r)
+        # only the matrices halved more than k times are squared again
+        mask = squarings > k
+        r[mask] = r[mask] @ r[mask]
     return r

@@ -183,7 +183,7 @@ def test_criterion_8b_blockade_loss():
     pulses, which E_bl books. The other does not depend on the residue: with
     both controls in r the target's Rydberg level is shifted by a finite 2V
     only, so the target pulses leave population outside the computational
-    space (the 4v rows of ``two_photon_error``). A run with
+    space (the 4v rows of the budget's ``two_photon`` term). A run with
     ``cc_interaction="none"`` holds the second mechanism alone, so the
     difference between the two runs is the residue-attributable leakage.
 

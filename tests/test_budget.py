@@ -11,14 +11,10 @@ from blockadesim.budget import (
     argmin_total,
     avg_dwell,
     blockade_error,
-    control_dwell,
-    decay_error,
     dwell_table,
     error_budget,
     sweep,
     sweep_grid,
-    total_error,
-    two_photon_error,
 )
 from blockadesim.model import PhysicalParams, vdw_shift
 from blockadesim.schedule import (
@@ -40,6 +36,10 @@ V = REF_PARAMS.blockade
 
 def ref_drive(omega_bar_mhz, ratio=2.0):
     return DriveParams.from_ratio(TWO_PI * 10.0, TWO_PI * omega_bar_mhz, ratio)
+
+
+def deutsch_budget(drive, temperature="4.2K", params=REF_PARAMS):
+    return error_budget(drive, params, TAU_BY_TEMPERATURE[temperature])
 
 
 def gate_time(drive, gate="deutsch"):
@@ -94,7 +94,7 @@ def test_gate_time_is_the_schedule_duration(gate):
 def test_dwell_table_control_rows():
     drive = ref_drive(0.54)
     table = dwell_table(drive)
-    t_x = control_dwell(drive)
+    t_x = deutsch_budget(drive).control_dwell_us
     assert table["000"] == pytest.approx(2.0 * t_x, rel=1e-12)
     assert table["001"] == pytest.approx(2.0 * t_x, rel=1e-12)
     for label in ("010", "011", "100", "101"):
@@ -148,15 +148,15 @@ def test_avg_dwell_scales_inversely_with_drive():
 # ---------------------------------------------------------------------------
 
 def test_decay_error_values():
-    assert decay_error(ref_drive(0.54), 1590.0) == pytest.approx(
+    assert deutsch_budget(ref_drive(0.54)).decay == pytest.approx(
         (0.05 + 3.1875 / 0.54) / 1590.0, rel=1e-12
     )
-    assert decay_error(ref_drive(0.92), 313.0) == pytest.approx(
+    assert deutsch_budget(ref_drive(0.92), "300K").decay == pytest.approx(
         (0.05 + 3.1875 / 0.92) / 313.0, rel=1e-12
     )
-    assert decay_error(ref_drive(0.54), math.inf) == 0.0
+    assert error_budget(ref_drive(0.54), REF_PARAMS, math.inf).decay == 0.0
     with pytest.raises(ValueError):
-        decay_error(ref_drive(0.54), 0.0)
+        error_budget(ref_drive(0.54), REF_PARAMS, 0.0)
 
 
 def test_blockade_error_value():
@@ -194,23 +194,27 @@ def _two_photon_by_hand(drive, v):
 @pytest.mark.parametrize("omega_bar_mhz,rough", [(0.54, 1.96e-3), (0.92, 5.67e-3)])
 def test_two_photon_error_values(omega_bar_mhz, rough):
     drive = ref_drive(omega_bar_mhz)
-    value = two_photon_error(drive, V)
+    value = deutsch_budget(drive).two_photon
     assert value == pytest.approx(_two_photon_by_hand(drive, V), rel=1e-12)
     assert value == pytest.approx(rough, rel=0.01)
 
 
 def test_two_photon_error_vanishes_at_large_blockade():
     drive = ref_drive(0.54)
-    assert two_photon_error(drive, V * 1e4) < 1e-10
-    with pytest.raises(ValueError):
-        two_photon_error(drive, 0.0)
+    strong = REF_PARAMS.with_interaction_scaled(1e4)
+    assert deutsch_budget(drive, params=strong).two_photon < 1e-10
+    with pytest.raises(ValueError, match="v must be nonzero"):
+        deutsch_budget(drive, params=REF_PARAMS.with_interaction_scaled(0.0))
 
 
 @pytest.mark.parametrize("v", [1e-309, -5e-324])
 def test_two_photon_error_names_a_non_finite_phase(v):
+    # C6 scaled to a 1 rad/us blockade shift, then by v, gives a shift of v;
     # omega1 omega2 t / v overflows to inf, where math.sin has no value
+    params = REF_PARAMS.with_interaction_scaled(1.0 / V).with_interaction_scaled(v)
+    assert params.blockade == v
     with pytest.raises(ValueError, match="two-photon phase is not finite"):
-        two_photon_error(ref_drive(0.54), v)
+        deutsch_budget(ref_drive(0.54), params=params)
 
 
 # ---------------------------------------------------------------------------
@@ -218,29 +222,25 @@ def test_two_photon_error_names_a_non_finite_phase(v):
 # ---------------------------------------------------------------------------
 
 def test_total_error_reference_minima():
-    cold = total_error(ref_drive(0.54), REF_PARAMS, "4.2K")
+    cold = deutsch_budget(ref_drive(0.54))
     assert cold.total == pytest.approx(6.7e-3, rel=0.1)
-    warm = total_error(ref_drive(0.92), REF_PARAMS, "300K")
+    warm = deutsch_budget(ref_drive(0.92), "300K")
     assert warm.total == pytest.approx(18e-3, rel=0.1)
 
 
 def test_total_error_is_component_sum():
-    budget = total_error(ref_drive(0.7), REF_PARAMS, "4.2K")
+    budget = deutsch_budget(ref_drive(0.7))
     assert budget.total == budget.decay + budget.blockade + budget.two_photon
     for term in (budget.decay, budget.blockade, budget.two_photon):
         assert term >= 0.0
-
-
-def test_total_error_rejects_unknown_temperature():
-    with pytest.raises(ValueError):
-        total_error(ref_drive(0.54), REF_PARAMS, "77K")
 
 
 def test_error_budget_carries_times_and_phase():
     drive = ref_drive(0.54)
     budget = error_budget(drive, REF_PARAMS, 1590.0)
     assert budget.gate_time_us == pytest.approx(0.1 + 3.0 / 0.54, rel=1e-12)
-    assert budget.control_dwell_us == pytest.approx(control_dwell(drive), rel=1e-12)
+    # pi/w0 + 2 * 2pi/wbar + sqrt(2) pi/w3 by hand
+    assert budget.control_dwell_us == pytest.approx(0.05 + 3.0 / 0.54, rel=1e-12)
     assert budget.mean_rydberg_time_us == pytest.approx(avg_dwell(drive), rel=1e-12)
     assert budget.residue_phase_rad == pytest.approx(7.3999, rel=1e-4)
 

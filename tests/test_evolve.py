@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from blockadesim import qcore
-from blockadesim.budget import avg_dwell, control_dwell, decay_error, dwell_table
+from blockadesim.budget import TAU_BY_TEMPERATURE, avg_dwell, dwell_table, error_budget
 from blockadesim.evolve import SimulationOptions, evolve
 from blockadesim.ideal import cnot_ideal, deutsch_ideal, gate_fidelity, toffoli_ideal
 from blockadesim.model import (
@@ -14,6 +14,7 @@ from blockadesim.model import (
     PhysicalParams,
     PulseSegment,
     Transition,
+    computational_labels,
     segment_hamiltonian,
 )
 from blockadesim.schedule import (
@@ -171,10 +172,12 @@ def test_weak_row_leakage_matches_two_photon_prediction():
 
 
 def test_decay_norm_loss_matches_budget():
-    opts = SimulationOptions(decay_tau=1590.0, compute_dwell=False)
+    tau = TAU_BY_TEMPERATURE["4.2K"]
+    opts = SimulationOptions(decay_tau=tau, compute_dwell=False)
     result = evolve(deutsch_schedule(DRIVE), REF_PARAMS, opts)
     mean_loss = np.mean(list(result.norm_loss_per_input.values()))
-    assert mean_loss == pytest.approx(decay_error(DRIVE, 1590.0), rel=0.1)
+    budget = error_budget(DRIVE, REF_PARAMS, tau)
+    assert mean_loss == pytest.approx(budget.decay, rel=0.1)
 
 
 def test_decay_tau_validation():
@@ -276,14 +279,18 @@ def test_budget_residue_phase_is_the_simulated_correction(gate, builder, params)
 # dwell times
 # ---------------------------------------------------------------------------
 
+def budget_control_dwell(drive):
+    return error_budget(drive, REF_PARAMS, TAU_BY_TEMPERATURE["4.2K"]).control_dwell_us
+
+
 def test_dwell_singly_excited_control():
     dwell = evolve(deutsch_schedule(DRIVE), REF_PARAMS).dwell_per_input["010"]
-    assert dwell == pytest.approx(control_dwell(DRIVE), rel=0.01)
+    assert dwell == pytest.approx(budget_control_dwell(DRIVE), rel=0.01)
 
 
 def test_dwell_doubly_excited_controls():
     dwell = evolve(deutsch_schedule(DRIVE), REF_PARAMS).dwell_per_input["000"]
-    assert dwell == pytest.approx(2.0 * control_dwell(DRIVE), rel=0.01)
+    assert dwell == pytest.approx(2.0 * budget_control_dwell(DRIVE), rel=0.01)
 
 
 def test_dwell_gate_pair_input():
@@ -400,7 +407,7 @@ def reference_evolve(schedule, params, decay_tau=None, cc_interaction="physical"
         kernel = t * np.exp(0.5j * phase) * np.sinc(phase / (2.0 * np.pi))
         totals += np.sum(coeffs.conj() * ((overlap * kernel) @ coeffs), axis=0).real
         psi = eigvecs @ (np.exp(-1j * eigvals * t)[:, None] * coeffs)
-    labels = qcore.computational_labels(n)
+    labels = computational_labels(n)
     return propagator, dict(zip(labels, totals))
 
 
@@ -409,11 +416,11 @@ def schedule_blocks(schedule):
     couplings = frozenset(
         (tr.atom, tr.lower) for seg in schedule.segments for tr in seg.transitions
     )
-    layout = qcore.sector_layout(schedule.n_atoms, couplings)
-    # a block's diagonal entries are its basis states
-    diagonal = layout.rows == layout.cols
+    layout = qcore.segment_layout(schedule.n_atoms, (couplings,))
+    # the slots of a block that are not padding hold its basis states
+    in_block = layout.basis < 3**schedule.n_atoms
     block_of = np.empty(3**schedule.n_atoms, dtype=np.intp)
-    block_of[layout.rows[diagonal]] = np.nonzero(layout.pairs)[0][diagonal]
+    block_of[layout.basis[in_block]] = np.nonzero(in_block)[0]
     return block_of
 
 

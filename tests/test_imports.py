@@ -75,3 +75,13 @@ def test_package_evolve_is_the_function_in_any_import_order(first):
     )
     proc = _python("-c", script)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_public_names_resolve_once_each():
+    # a name left in __all__ after its function is removed breaks
+    # ``from blockadesim import *``
+    import blockadesim
+
+    assert blockadesim.__all__ == sorted(set(blockadesim.__all__))
+    for name in blockadesim.__all__:
+        assert getattr(blockadesim, name).__module__.startswith("blockadesim."), name

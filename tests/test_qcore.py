@@ -7,7 +7,12 @@ import numpy as np
 import pytest
 
 from blockadesim import qcore
-from blockadesim.model import PhysicalParams, interaction_diagonal, segment_hamiltonian
+from blockadesim.model import (
+    PhysicalParams,
+    computational_labels,
+    interaction_diagonal,
+    segment_hamiltonian,
+)
 from blockadesim.schedule import DriveParams, cnot_schedule, deutsch_schedule, toffoli_schedule
 
 
@@ -56,7 +61,7 @@ def test_basis_index_rejects_unknown_level():
 def test_computational_indices_order():
     assert list(qcore.computational_indices(3)) == [0, 1, 3, 4, 9, 10, 12, 13]
     assert list(qcore.computational_indices(2)) == [0, 1, 3, 4]
-    assert qcore.computational_labels(2) == ["00", "01", "10", "11"]
+    assert computational_labels(2) == ["00", "01", "10", "11"]
 
 
 DEUTSCH_COUPLINGS = frozenset({(0, "g0"), (1, "g0"), (2, "g0"), (2, "g1")})
@@ -64,7 +69,7 @@ CNOT_COUPLINGS = frozenset({(0, "g0"), (1, "g0"), (1, "g1")})
 
 
 def sector_layout(n_atoms):
-    return qcore.sector_layout(n_atoms, DEUTSCH_COUPLINGS)
+    return qcore.segment_layout(n_atoms, (DEUTSCH_COUPLINGS,))
 
 
 def rydberg_weights(n_atoms):
@@ -73,12 +78,10 @@ def rydberg_weights(n_atoms):
     return qcore.segment_layout(n_atoms, (frozenset(),)).weights
 
 
-def sector_blocks(layout):
-    """Basis indices of each block in slot order, recovered from the
-    diagonal entries of ``rows`` and ``cols``."""
-    diagonal = layout.rows == layout.cols
-    block = np.nonzero(layout.pairs)[0][diagonal]
-    return np.split(layout.rows[diagonal], np.cumsum(np.bincount(block))[:-1])
+def sector_blocks(layout, n_atoms):
+    """Basis indices of each block in slot order: the slots of ``basis``
+    that are not padding."""
+    return [row[row < 3**n_atoms] for row in layout.basis]
 
 
 def test_rydberg_weights():
@@ -124,17 +127,17 @@ def test_register_tables_are_cached_and_read_only(table):
     "n_atoms,couplings", [(3, DEUTSCH_COUPLINGS), (2, CNOT_COUPLINGS), (3, frozenset())]
 )
 def test_sector_layout_gathers_and_scatters_the_blocks(n_atoms, couplings):
-    layout = qcore.sector_layout(n_atoms, couplings)
+    layout = qcore.segment_layout(n_atoms, (couplings,))
     dim = 3**n_atoms
     # an operator that is nonzero exactly on the in-block entries
     same_block = np.zeros((dim, dim), dtype=bool)
-    for block in sector_blocks(layout):
+    for block in sector_blocks(layout, n_atoms):
         same_block[np.ix_(block, block)] = True
     full = np.where(same_block, 1.0 + np.arange(dim * dim).reshape(dim, dim), 0.0)
     blocks = np.zeros(layout.pairs.shape)
-    blocks[layout.pairs] = full[layout.rows, layout.cols]
+    blocks[layout.pairs] = full.reshape(-1)[layout.entries]
     back = np.zeros_like(full)
-    back[layout.rows, layout.cols] = blocks[layout.pairs]
+    back.reshape(-1)[layout.entries] = blocks[layout.pairs]
     np.testing.assert_array_equal(back, full)
     # each block fills its first slots, the rest is padding
     valid = np.diagonal(layout.pairs, axis1=1, axis2=2)
@@ -148,15 +151,15 @@ def test_sector_layout_gathers_and_scatters_the_blocks(n_atoms, couplings):
      (2, frozenset(), [1] * 9)],
 )
 def test_sectors_split_by_controls_in_g1(n_atoms, couplings, sizes):
-    layout = qcore.sector_layout(n_atoms, couplings)
-    blocks = sector_blocks(layout)
+    layout = qcore.segment_layout(n_atoms, (couplings,))
+    blocks = sector_blocks(layout, n_atoms)
     assert [len(block) for block in blocks] == sizes
     assert sorted(np.concatenate(blocks)) == list(range(3**n_atoms))
     for block in blocks:
         assert np.all(np.diff(block) > 0)
-    assert qcore.sector_layout(n_atoms, couplings) is layout
+    assert qcore.segment_layout(n_atoms, (couplings,)) is layout
     with pytest.raises(ValueError):
-        layout.rows[0] = 5
+        layout.basis[0, 0] = 5
 
 
 @pytest.mark.parametrize("n_atoms", [1, 2, 3, 4])
@@ -164,21 +167,43 @@ def test_sectors_are_the_connected_components_of_any_coupling_set(n_atoms):
     # reference: transitive closure of the coupling graph by repeated squaring
     dim = 3**n_atoms
     every = [(atom, lower) for atom in range(n_atoms) for lower in ("g0", "g1")]
-    for pick in itertools.product((False, True), repeat=len(every)):
-        couplings = frozenset(c for c, keep in zip(every, pick) if keep)
+    subsets = [
+        frozenset(c for c, keep in zip(every, pick) if keep)
+        for pick in itertools.product((False, True), repeat=len(every))
+    ]
+    for couplings in subsets:
         reach = np.eye(dim, dtype=bool)
         for atom, lower in couplings:
             rows, cols = qcore.coupling_indices(n_atoms)[atom, qcore.LEVEL_CODE[lower]]
             reach[rows, cols] = reach[cols, rows] = True
         for _ in range(dim.bit_length()):
             reach = (reach.astype(int) @ reach.astype(int)) > 0
-        blocks = sector_blocks(qcore.sector_layout(n_atoms, couplings))
+        blocks = sector_blocks(qcore.segment_layout(n_atoms, (couplings,)), n_atoms)
         same_block = np.zeros((dim, dim), dtype=bool)
         for block in blocks:
             same_block[np.ix_(block, block)] = True
         assert np.array_equal(same_block, reach), sorted(couplings)
         # blocks come in the order of their first basis index
         assert np.all(np.diff([block[0] for block in blocks]) > 0), sorted(couplings)
+    # several segments: each one's blocks are those of its own one-segment
+    # layout, padded to the widest block, and its entries are offset into
+    # its own slice of the segment stack
+    rng = np.random.default_rng(n_atoms)
+    for _ in range(40):
+        picks = rng.integers(len(subsets), size=rng.integers(2, 6))
+        segments = tuple(subsets[i] for i in picks)
+        layout = qcore.segment_layout(n_atoms, segments)
+        entry_block = np.nonzero(layout.pairs)[0]
+        assert np.all(np.diff(layout.segment) >= 0)
+        for s, couplings in enumerate(segments):
+            own = qcore.segment_layout(n_atoms, (couplings,))
+            mine = layout.segment == s
+            m = own.basis.shape[1]
+            np.testing.assert_array_equal(layout.basis[mine, :m], own.basis)
+            assert np.all(layout.basis[mine, m:] == dim)
+            np.testing.assert_array_equal(
+                layout.entries[mine[entry_block]], own.entries + s * dim * dim
+            )
 
 
 # (builder, register, blocks, padded size, block sizes of a control pulse in
