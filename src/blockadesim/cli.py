@@ -333,15 +333,6 @@ def _emit(artifact: dict | str, out_path: str | None, summary: str) -> None:
         sys.stdout.write(artifact)
 
 
-def _format_transition(tr) -> str:
-    magnitude = abs(tr.rabi) / TWO_PI
-    phase_deg = math.degrees(math.atan2(tr.rabi.imag, tr.rabi.real))
-    return (
-        f"atom {tr.atom}  {tr.lower}<->r  |Omega|/2pi = {magnitude:.6f} MHz"
-        f"  phase = {phase_deg:+7.1f} deg"
-    )
-
-
 def cmd_synth(cfg: dict, drive: DriveParams, out: str | None) -> None:
     gate = cfg["gate"]
     schedule = gate_functions(gate)[0](drive)
@@ -354,6 +345,24 @@ def cmd_synth(cfg: dict, drive: DriveParams, out: str | None) -> None:
         for n in (range(1, 7) if phi else ())
     ]
 
+    segments = [
+        {
+            "index": i,
+            "duration_us": seg.duration,
+            "transitions": [
+                {
+                    "atom": tr.atom,
+                    "lower": tr.lower,
+                    "rabi_MHz_re": tr.rabi.real / TWO_PI,
+                    "rabi_MHz_im": tr.rabi.imag / TWO_PI,
+                    "magnitude_MHz": abs(tr.rabi) / TWO_PI,
+                    "phase_deg": math.degrees(math.atan2(tr.rabi.imag, tr.rabi.real)),
+                }
+                for tr in seg.transitions
+            ],
+        }
+        for i, seg in enumerate(schedule.segments, start=1)
+    ]
     lines = [
         f"{cfg['gate']} schedule ({schedule.n_atoms} atoms), "
         f"total {schedule.total_duration:.6f} us"
@@ -363,10 +372,13 @@ def cmd_synth(cfg: dict, drive: DriveParams, out: str | None) -> None:
             f"theta = {derived['theta_rad']:.9f} rad "
             f"(ratio omega2/omega1 = {derived['ratio_omega2_over_omega1']:.9f})"
         )
-    for i, seg in enumerate(schedule.segments, start=1):
-        lines.append(f"segment {i}: {seg.duration:.6f} us")
-        for tr in seg.transitions:
-            lines.append("  " + _format_transition(tr))
+    for seg in segments:
+        lines.append(f"segment {seg['index']}: {seg['duration_us']:.6f} us")
+        lines.extend(
+            f"  atom {tr['atom']}  {tr['lower']}<->r"
+            f"  |Omega|/2pi = {tr['magnitude_MHz']:.6f} MHz  phase = {tr['phase_deg']:+7.1f} deg"
+            for tr in seg["transitions"]
+        )
     lines.append(f"residue phase phi = {phi:.6f} rad ({phi / math.pi:.4f} pi)")
     lines.append(
         "phase-matched omega_bar/2pi (MHz): "
@@ -379,24 +391,7 @@ def cmd_synth(cfg: dict, drive: DriveParams, out: str | None) -> None:
         "derived": derived,
         "phi_rad": phi,
         "phase_matching": matches,
-        "segments": [
-            {
-                "index": i,
-                "duration_us": seg.duration,
-                "transitions": [
-                    {
-                        "atom": tr.atom,
-                        "lower": tr.lower,
-                        "rabi_MHz_re": tr.rabi.real / TWO_PI,
-                        "rabi_MHz_im": tr.rabi.imag / TWO_PI,
-                        "magnitude_MHz": abs(tr.rabi) / TWO_PI,
-                        "phase_deg": math.degrees(math.atan2(tr.rabi.imag, tr.rabi.real)),
-                    }
-                    for tr in seg.transitions
-                ],
-            }
-            for i, seg in enumerate(schedule.segments, start=1)
-        ],
+        "segments": segments,
     }
     _emit(payload, out, listing)
 

@@ -15,24 +15,26 @@ the lower levels that segment couples to it, every other level alone).  In
 the paper's protocols each pulse drives one atom: a control pulse gives
 blocks of 4, 2, 2 and 1 states per target level (2 and 1 for the CNOT), a
 target pulse one 3-state Lambda block per control configuration.
-:func:`evolve` gathers every segment's blocks into one zero-padded
-``(blocks, m, m)`` stack, ``(51, 4, 4)`` for the Deutsch gate, makes one
-batched exponential call on it, scatters the block steps into full-space
-segment steps and chains those.  The blocks, the gather and scatter indices
-and the Rydberg weights come cached from :func:`qcore.segment_layout`.  The
+:func:`evolve` builds the full-space segment Hamiltonians with one zero
+padding state, gathers every segment's blocks from them into one
+zero-padded ``(blocks, m, m)`` stack, ``(51, 4, 4)`` for the Deutsch gate,
+makes one batched exponential call on it, scatters the block steps back and
+chains them from the identity on.  One padded index from
+:func:`qcore.segment_layout`, cached with the Rydberg weights, does both the
+gather and the scatter, and an empty schedule takes the same path.  The
 padded stack costs less than the schedule-wide sectors (12 + 6 + 6 + 3
 states for three atoms) would: a batched ``eigh`` of a ``(51, 4, 4)`` stack
 takes about a third of the time of one of a ``(5, 4, 12, 12)`` stack.
 
 One decomposition per run: with the dwell on, one batched ``eigh`` of the
-Hermitian stack feeds both the dwell kernel and, with decay off, the unitary
-segment steps (handed to :func:`qcore.matrix_exponential` as ``eig``).  The
-dwell takes each segment's start states from the running products of the
-unitary steps: the propagator chain itself with decay off, or the steps
-built from the same ``eigh`` with decay on (the Pade steps carry the decay,
-which the dwell leaves out).  The computational columns of those products
-are gathered into each block's slots, and the integral is a few batched
-products over the blocks of all segments at once.
+Hermitian stack feeds the dwell kernel and, handed to
+:func:`qcore.matrix_exponential` as ``eig``, the unitary segment steps.  The
+dwell takes each segment's start states from the running products of those
+steps: the propagator chain itself with decay off, a chain of its own with
+decay on (the Pade steps carry the decay, which the dwell leaves out).  The
+computational columns of those products are gathered into each block's
+slots, and the integral is a few batched products over the blocks of all
+segments at once.
 """
 
 from __future__ import annotations
@@ -99,18 +101,20 @@ def _wrap_angle(angle: float) -> float:
 
 def _chain(steps: np.ndarray, layout, n_segments: int, dim: int) -> np.ndarray:
     """Scatter a stack of block steps into full-space segment steps with
-    ``layout`` (a :class:`qcore.SegmentLayout`) and return their running
-    products ``products[k] = step[k] @ ... @ step[0]``, last segment
-    leftmost."""
+    ``layout`` (a :class:`qcore.SegmentLayout`) and return the
+    ``n_segments + 1`` running products from the identity on:
+    ``products[k] = step[k - 1] @ ... @ step[0]`` is the propagator to the
+    start of segment ``k``, and ``products[-1]`` the whole schedule's.  The
+    padding state is sliced off, with the rounding-level values that the
+    scatter writes into its row and column."""
     import numpy as np
 
-    full = np.zeros(n_segments * dim * dim, dtype=complex)
-    full[layout.entries] = steps[layout.pairs]
-    full = full.reshape(n_segments, dim, dim)
-    products = np.empty_like(full)
-    products[0] = full[0]
-    for k in range(1, n_segments):
-        np.matmul(full[k], products[k - 1], out=products[k])
+    full = np.zeros((n_segments, dim + 1, dim + 1), dtype=complex)
+    full.reshape(-1)[layout.index] = steps
+    products = np.empty((n_segments + 1, dim, dim), dtype=complex)
+    products[0] = np.eye(dim)
+    for k in range(n_segments):
+        np.matmul(full[k, :dim, :dim], products[k], out=products[k + 1])
     return products
 
 
@@ -191,56 +195,52 @@ def evolve(
     dim = 3**n
     comp = qcore.computational_indices(n)
     labels = computational_labels(n)
-    hamiltonians = [
-        segment_hamiltonian(seg, params, cc_interaction=opts.cc_interaction)
-        for seg in schedule.segments
-    ]
-
-    propagator = np.eye(dim, dtype=complex)
-    dwell = dict.fromkeys(labels, 0.0) if opts.compute_dwell else None
-    hermitian = opts.decay_tau is None
-    if hamiltonians:
-        n_segments = len(hamiltonians)
-        layout = qcore.segment_layout(n, tuple(
-            frozenset((tr.atom, tr.lower) for tr in seg.transitions)
-            for seg in schedule.segments
-        ))
-        durations = np.array([seg.duration for seg in schedule.segments])[layout.segment]
-        blocks = np.zeros(layout.pairs.shape, dtype=complex)
-        blocks[layout.pairs] = np.stack(hamiltonians).reshape(-1)[layout.entries]
-        h_eff = blocks
-        if not hermitian:
-            # a Python float, so a tiny lifetime overflows to inf without a
-            # numpy warning; qcore.matrix_exponential checks the phase
-            rate = 0.5 / opts.decay_tau * float(layout.weights.max())
-            if not math.isfinite(rate):
-                raise ValueError(
-                    f"decay rate 0.5 * max_weight / tau overflows at tau = {opts.decay_tau} us"
-                )
-            # -i/(2 tau) on every Rydberg projector
-            decay = -0.5j / opts.decay_tau * layout.weights
-            h_eff = blocks + decay[..., None] * np.eye(blocks.shape[-1])
-        # one decomposition serves the unitary steps and the dwell
-        eig = np.linalg.eigh(blocks) if opts.compute_dwell else None
-        steps = qcore.matrix_exponential(
-            h_eff, durations, hermitian=hermitian, eig=eig if hermitian else None
+    segments = schedule.segments
+    layout = qcore.segment_layout(n, tuple(
+        frozenset((tr.atom, tr.lower) for tr in seg.transitions) for seg in segments
+    ))
+    # the full-space Hamiltonians with a zero padding state, see SegmentLayout
+    stack = np.zeros((len(segments), dim + 1, dim + 1), dtype=complex)
+    for s, seg in enumerate(segments):
+        stack[s, :dim, :dim] = segment_hamiltonian(
+            seg, params, cc_interaction=opts.cc_interaction
         )
-        products = _chain(steps, layout, n_segments, dim)
-        propagator = products[-1]
-        if opts.compute_dwell:
-            # each segment starts from the running product of the unitary
-            # steps before it: the propagator chain itself when decay is off
-            if not hermitian:
-                unitary = qcore.eigen_exponential(*eig, durations)
-                products = _chain(unitary, layout, n_segments, dim)
-            # the inputs at each segment start, and a zero row for the padding
-            starts = np.zeros((n_segments, dim + 1, len(comp)), dtype=complex)
-            starts[0, comp, np.arange(len(comp))] = 1.0
-            starts[1:, :dim] = products[:-1, :, comp]
-            totals = _integrate_dwell(
-                *eig, durations, layout.weights, starts[layout.segment[:, None], layout.basis]
+    blocks = stack.reshape(-1)[layout.index]
+    durations = np.array([seg.duration for seg in segments])[layout.segment]
+    hermitian = opts.decay_tau is None
+    h_eff = blocks
+    if not hermitian:
+        # a Python float, so a tiny lifetime overflows to inf without a
+        # numpy warning; qcore.matrix_exponential checks the phase
+        rate = 0.5 / opts.decay_tau * float(layout.weights.max(initial=0.0))
+        if not math.isfinite(rate):
+            raise ValueError(
+                f"decay rate 0.5 * max_weight / tau overflows at tau = {opts.decay_tau} us"
             )
-            dwell = {lab: float(t) for lab, t in zip(labels, totals)}
+        # -i/(2 tau) on every Rydberg projector
+        decay = -0.5j / opts.decay_tau * layout.weights
+        h_eff = blocks + decay[..., None] * np.eye(blocks.shape[-1])
+    # one decomposition serves the unitary steps and the dwell
+    eig = np.linalg.eigh(blocks) if opts.compute_dwell else None
+    steps = qcore.matrix_exponential(
+        h_eff, durations, hermitian=hermitian, eig=eig if hermitian else None
+    )
+    products = _chain(steps, layout, len(segments), dim)
+    propagator = products[-1]
+    dwell = None
+    if opts.compute_dwell:
+        # each segment starts from the running product of the unitary steps
+        # before it: the propagator chain itself when decay is off
+        if not hermitian:
+            unitary = qcore.matrix_exponential(blocks, durations, hermitian=True, eig=eig)
+            products = _chain(unitary, layout, len(segments), dim)
+        # the inputs at each segment start, and a zero row for the padding
+        starts = np.zeros((len(segments), dim + 1, len(comp)), dtype=complex)
+        starts[:, :dim] = products[:-1, :, comp]
+        totals = _integrate_dwell(
+            *eig, durations, layout.weights, starts[layout.segment[:, None], layout.basis]
+        )
+        dwell = {lab: float(t) for lab, t in zip(labels, totals)}
 
     # Residue phase on the doubly excited controls, predicted from the dwell
     # span between the two control pulses.  The simulated phase additionally

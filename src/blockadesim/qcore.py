@@ -94,18 +94,18 @@ class SegmentLayout(NamedTuple):
     """How a schedule's segment Hamiltonians map onto one padded stack of the
     blocks that each segment's own couplings give.
 
-    ``pairs`` is the ``(n_blocks, m, m)`` mask of entries inside a block and
-    ``entries`` the flat index of each of those entries, in mask order, into
-    the ``(segments, 3**n, 3**n)`` stack of full-space operators, so
-    ``blocks[pairs] = stack.reshape(-1)[entries]`` gathers and
-    ``stack.reshape(-1)[entries] = blocks[pairs]`` scatters.  ``segment`` is the
+    The full-space stack is ``(segments, 3**n + 1, 3**n + 1)``: one padding
+    state ``3**n`` past the basis, whose row and column stay zero.  ``index``
+    is the ``(n_blocks, m, m)`` flat index of each block entry into that
+    stack, an entry with a padding slot pointing into the padding row or
+    column, so ``blocks = stack.reshape(-1)[index]`` gathers and
+    ``stack.reshape(-1)[index] = blocks`` scatters.  ``segment`` is the
     segment of each block, ``basis`` the ``(n_blocks, m)`` full-space basis
     index of each slot (``3**n`` in the padding) and ``weights`` its Rydberg
     count (0 in the padding).
     """
 
-    pairs: np.ndarray
-    entries: np.ndarray
+    index: np.ndarray
     segment: np.ndarray
     basis: np.ndarray
     weights: np.ndarray
@@ -117,8 +117,9 @@ def segment_layout(
 ) -> SegmentLayout:
     """The blocks of basis states that each segment's ``(atom, lower)``
     couplings join, in segment order and padded to the largest block size
-    ``m`` of the schedule, as a :class:`SegmentLayout` computed once per
-    register size and tuple of coupling sets; every array is read-only.
+    ``m`` of the schedule (1 without segments), as a :class:`SegmentLayout`
+    computed once per register size and tuple of coupling sets; every array
+    is read-only.
 
     A coupling links ``|lower>`` and ``|r>`` of one atom and nothing else, and
     every other term of a segment Hamiltonian is diagonal, so the Hamiltonian
@@ -144,16 +145,15 @@ def segment_layout(
     label = place @ lowest[:, np.arange(n_atoms)[:, None], level_codes(n_atoms)]
     label += dim * np.arange(len(segment_couplings))[:, None]
     first, block, sizes = np.unique(label, return_inverse=True, return_counts=True)
-    valid = np.arange(sizes.max()) < sizes[:, None]
+    valid = np.arange(sizes.max(initial=1)) < sizes[:, None]
     basis = np.full(valid.shape, dim)
     basis[valid] = np.argsort(block.ravel(), kind="stable") % dim
     segment = first // dim
-    pairs = valid[:, :, None] & valid[:, None, :]
-    row = segment[:, None] * dim + basis
-    entries = (row[:, :, None] * dim + basis[:, None, :])[pairs]
+    row = segment[:, None] * (dim + 1) + basis
+    index = row[:, :, None] * (dim + 1) + basis[:, None, :]
     in_r = level_codes(n_atoms) == LEVEL_CODE["r"]
     weights = np.append(in_r.sum(axis=0), 0)[basis].astype(float)
-    return SegmentLayout(*map(_read_only, (pairs, entries, segment, basis, weights)))
+    return SegmentLayout(*map(_read_only, (index, segment, basis, weights)))
 
 
 def is_hermitian(matrix: np.ndarray, tol: float = 1e-12) -> bool:
@@ -211,22 +211,14 @@ def matrix_exponential(
     if eig is not None and (not hermitian or eig[0].shape != h.shape[:-1]):
         raise ValueError("eig must be the eigendecomposition of a Hermitian stack")
     if hermitian:
-        u = eigen_exponential(*(np.linalg.eigh(h) if eig is None else eig), t)
+        eigvals, eigvecs = np.linalg.eigh(h) if eig is None else eig
+        phases = np.exp(-1j * eigvals * t[..., None])
+        u = (eigvecs * phases[..., None, :]) @ eigvecs.conj().swapaxes(-1, -2)
     else:
         u = pade_expm(-1j * t[..., None, None] * h)
     if not np.all(np.isfinite(u)):
         raise FloatingPointError("propagator contains non-finite entries")
     return u
-
-
-def eigen_exponential(
-    eigvals: np.ndarray, eigvecs: np.ndarray, duration: np.ndarray
-) -> np.ndarray:
-    """exp(-i H t) for each ``H = V diag(lam) V^dag`` of a stack, from its
-    eigenvalues ``(..., m)`` and eigenvectors ``(..., m, m)``; ``duration``
-    broadcasts against the leading shape."""
-    phases = np.exp(-1j * eigvals * np.asarray(duration)[..., None])
-    return (eigvecs * phases[..., None, :]) @ eigvecs.conj().swapaxes(-1, -2)
 
 
 def pade_expm(a: np.ndarray) -> np.ndarray:

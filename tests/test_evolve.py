@@ -1,5 +1,6 @@
 """Tests for schedule propagation, diagnostics, and analytic cross-checks."""
 
+import importlib
 import math
 
 import numpy as np
@@ -47,11 +48,22 @@ def weak_row_two_photon_prediction(drive, v):
     )
 
 
-def test_empty_schedule_is_identity():
-    result = evolve(GateSchedule((), "idle", 3), REF_PARAMS)
+@pytest.mark.parametrize("compute_dwell", [False, True])
+@pytest.mark.parametrize("decay_tau", [None, 1590.0])
+def test_empty_schedule_is_identity(decay_tau, compute_dwell):
+    # no segments: a layout of no blocks, each padded to one slot
+    layout = qcore.segment_layout(3, ())
+    assert [a.shape for a in layout] == [(0, 1, 1), (0,), (0, 1), (0, 1)]
+    options = SimulationOptions(decay_tau=decay_tau, compute_dwell=compute_dwell)
+    result = evolve(GateSchedule((), "idle", 3), REF_PARAMS, options)
     np.testing.assert_array_equal(result.full_propagator, np.eye(27))
     np.testing.assert_array_equal(result.computational_block, np.eye(8))
-    assert result.dwell_per_input["000"] == 0.0
+    assert set(result.leakage_per_input.values()) == {0.0}
+    assert set(result.norm_loss_per_input.values()) == {0.0}
+    if compute_dwell:
+        assert result.dwell_per_input == dict.fromkeys(computational_labels(3), 0.0)
+    else:
+        assert result.dwell_per_input is None
     assert result.phase_mismatch == 0.0
 
 
@@ -217,6 +229,35 @@ def test_one_decomposition_per_evolve(monkeypatch, decay_tau, compute_dwell, eig
     result = evolve(deutsch_schedule(DRIVE), REF_PARAMS, options)
     assert calls == {"eigh": eighs, "pade": pades}
     assert (result.dwell_per_input is not None) == compute_dwell
+
+
+@pytest.mark.parametrize("compute_dwell", [False, True])
+@pytest.mark.parametrize("decay_tau", [None, 1590.0])
+def test_evolve_keeps_the_tracer_contract(monkeypatch, decay_tau, compute_dwell):
+    # the benchmark's tracer (perfbench/tracing.py) wraps segment_hamiltonian
+    # under evolve's module-global name and names each matrix_exponential
+    # span after its hermitian keyword
+    evolve_module = importlib.import_module("blockadesim.evolve")
+    exponential = qcore.matrix_exponential
+    builds, hermitian = [], []
+
+    def counted_build(seg, *args, **kwargs):
+        builds.append(seg)
+        return segment_hamiltonian(seg, *args, **kwargs)
+
+    def recorded_exponential(*args, **kwargs):
+        hermitian.append(kwargs["hermitian"])
+        return exponential(*args, **kwargs)
+
+    monkeypatch.setattr(evolve_module, "segment_hamiltonian", counted_build)
+    monkeypatch.setattr(qcore, "matrix_exponential", recorded_exponential)
+    schedule = deutsch_schedule(DRIVE)
+    options = SimulationOptions(decay_tau=decay_tau, compute_dwell=compute_dwell)
+    evolve(schedule, REF_PARAMS, options)
+    assert len(builds) == 5 and builds == list(schedule.segments)
+    # decay and dwell on: the dwell's unitary steps come from the shared eigh
+    decayed_dwell = decay_tau is not None and compute_dwell
+    assert hermitian == [decay_tau is None] + [True] * decayed_dwell
 
 
 def test_frame_correction_phase_bookkeeping():

@@ -129,19 +129,21 @@ def test_register_tables_are_cached_and_read_only(table):
 def test_sector_layout_gathers_and_scatters_the_blocks(n_atoms, couplings):
     layout = qcore.segment_layout(n_atoms, (couplings,))
     dim = 3**n_atoms
-    # an operator that is nonzero exactly on the in-block entries
-    same_block = np.zeros((dim, dim), dtype=bool)
+    valid = layout.basis < dim
+    # an operator that is nonzero exactly on the in-block entries, with the
+    # zero padding state past the basis
+    same_block = np.zeros((dim + 1, dim + 1), dtype=bool)
     for block in sector_blocks(layout, n_atoms):
         same_block[np.ix_(block, block)] = True
-    full = np.where(same_block, 1.0 + np.arange(dim * dim).reshape(dim, dim), 0.0)
-    blocks = np.zeros(layout.pairs.shape)
-    blocks[layout.pairs] = full.reshape(-1)[layout.entries]
+    full = np.where(same_block, 1.0 + np.arange((dim + 1) ** 2).reshape(dim + 1, dim + 1), 0.0)
+    blocks = full.reshape(-1)[layout.index]
     back = np.zeros_like(full)
-    back.reshape(-1)[layout.entries] = blocks[layout.pairs]
+    back.reshape(-1)[layout.index] = blocks
     np.testing.assert_array_equal(back, full)
+    # the in-block entries are gathered, every entry with a padding slot is 0
+    in_block = valid[:, :, None] & valid[:, None, :]
+    assert np.all(blocks[in_block] != 0) and np.all(blocks[~in_block] == 0)
     # each block fills its first slots, the rest is padding
-    valid = np.diagonal(layout.pairs, axis1=1, axis2=2)
-    np.testing.assert_array_equal(layout.pairs, valid[:, :, None] & valid[:, None, :])
     assert np.all(valid[:, :-1] >= valid[:, 1:])
 
 
@@ -193,7 +195,6 @@ def test_sectors_are_the_connected_components_of_any_coupling_set(n_atoms):
         picks = rng.integers(len(subsets), size=rng.integers(2, 6))
         segments = tuple(subsets[i] for i in picks)
         layout = qcore.segment_layout(n_atoms, segments)
-        entry_block = np.nonzero(layout.pairs)[0]
         assert np.all(np.diff(layout.segment) >= 0)
         for s, couplings in enumerate(segments):
             own = qcore.segment_layout(n_atoms, (couplings,))
@@ -202,8 +203,13 @@ def test_sectors_are_the_connected_components_of_any_coupling_set(n_atoms):
             np.testing.assert_array_equal(layout.basis[mine, :m], own.basis)
             assert np.all(layout.basis[mine, m:] == dim)
             np.testing.assert_array_equal(
-                layout.entries[mine[entry_block]], own.entries + s * dim * dim
+                layout.index[mine, :m, :m], own.index + s * (dim + 1) ** 2
             )
+            # the slots past the segment's own padded width point into the
+            # padding row and column
+            stack_shape = (len(segments), dim + 1, dim + 1)
+            _, rows, cols = np.unravel_index(layout.index[mine], stack_shape)
+            assert np.all(rows[:, m:] == dim) and np.all(cols[:, :, m:] == dim)
 
 
 # (builder, register, blocks, padded size, block sizes of a control pulse in
@@ -220,8 +226,8 @@ SEGMENT_STACKS = [
 def test_segment_stack_block_sizes(builder, n_atoms, n_blocks, m, control_sizes):
     schedule = builder(DRIVE)
     layout = qcore.segment_layout(n_atoms, segment_couplings(schedule))
-    assert layout.pairs.shape == (n_blocks, m, m)
-    valid = np.diagonal(layout.pairs, axis1=1, axis2=2)
+    assert layout.index.shape == (n_blocks, m, m)
+    valid = layout.basis < 3**n_atoms
     sizes = valid.sum(axis=1)
     target_level = layout.basis[:, 0] % 3
     assert np.all(np.diff(layout.segment) >= 0)
@@ -243,21 +249,28 @@ def test_segment_stack_gathers_and_scatters_every_segment_hamiltonian(builder, n
     schedule = builder(DRIVE)
     params = PhysicalParams(-633.0, 6.0, 1590.0, n_atoms)
     layout = qcore.segment_layout(n_atoms, segment_couplings(schedule))
-    stack = np.stack([segment_hamiltonian(seg, params) for seg in schedule.segments])
-    blocks = np.zeros(layout.pairs.shape, dtype=complex)
-    blocks[layout.pairs] = np.take(stack, layout.entries)
-    back = np.zeros_like(stack)
-    np.put(back, layout.entries, blocks[layout.pairs])
-    np.testing.assert_array_equal(back, stack)
-    # each block gathers its own segment's entries between its own slots
-    segment, rows, cols = np.unravel_index(layout.entries, stack.shape)
-    block, j, k = np.nonzero(layout.pairs)
-    np.testing.assert_array_equal(segment, layout.segment[block])
-    np.testing.assert_array_equal(rows, layout.basis[block, j])
-    np.testing.assert_array_equal(cols, layout.basis[block, k])
-    # padding slots: the row past the basis, no weight
     dim = 3**n_atoms
-    valid = np.diagonal(layout.pairs, axis1=1, axis2=2)
+    # the segment Hamiltonians with a zero padding state past the basis
+    stack = np.zeros((len(schedule.segments), dim + 1, dim + 1), dtype=complex)
+    for s, seg in enumerate(schedule.segments):
+        stack[s, :dim, :dim] = segment_hamiltonian(seg, params)
+    blocks = np.take(stack, layout.index)
+    back = np.zeros_like(stack)
+    np.put(back, layout.index, blocks)
+    np.testing.assert_array_equal(back, stack)
+    # every entry is in its block's segment, and each real entry between
+    # its block's own slots
+    valid = layout.basis < dim
+    in_block = valid[:, :, None] & valid[:, None, :]
+    segment, rows, cols = np.unravel_index(layout.index, stack.shape)
+    assert np.all(segment == layout.segment[:, None, None])
+    block, j, k = np.nonzero(in_block)
+    np.testing.assert_array_equal(rows[in_block], layout.basis[block, j])
+    np.testing.assert_array_equal(cols[in_block], layout.basis[block, k])
+    # an entry with a padding slot lands in the padding row or column
+    assert np.all((rows == dim) == ~valid[:, :, None])
+    assert np.all((cols == dim) == ~valid[:, None, :])
+    # padding slots: the state past the basis, no weight
     assert np.all(layout.basis[~valid] == dim)
     assert np.all(layout.weights[~valid] == 0)
     in_r = qcore.level_codes(n_atoms) == qcore.LEVEL_CODE["r"]
