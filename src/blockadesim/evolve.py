@@ -14,31 +14,36 @@ are block-diagonal, each block a product of per-atom level groups (``r`` with
 the lower levels that segment couples to it, every other level alone).  In
 the paper's protocols each pulse drives one atom: a control pulse gives
 blocks of 4, 2, 2 and 1 states per target level (2 and 1 for the CNOT), a
-target pulse one 3-state Lambda block per control configuration.
-:func:`evolve` builds the full-space segment Hamiltonians with one zero
-padding state, gathers every segment's blocks from them into one
-zero-padded ``(blocks, m, m)`` stack, ``(51, 4, 4)`` for the Deutsch gate,
-makes one batched exponential call on it, scatters the block steps back and
-chains them from the identity on.  One padded index from
-:func:`qcore.segment_layout`, cached with the Rydberg weights, does both the
-gather and the scatter, and an empty schedule takes the same path.  The
-padded stack costs less than the schedule-wide sectors (12 + 6 + 6 + 3
-states for three atoms) would: a batched ``eigh`` of a ``(51, 4, 4)`` stack
-takes about a third of the time of one of a ``(5, 4, 12, 12)`` stack.
+target pulse one 3-state Lambda block per control configuration, 51 blocks
+of 4 states for the Deutsch gate.  Blocks that differ only in the ground
+level of an atom the segment does not drive are equal for any parameters
+(the Hamiltonian sees such an atom only through whether it is in ``r``),
+so :func:`qcore.segment_layout` groups them into classes: 28 for the
+Deutsch gate.  :func:`evolve` builds the full-space segment Hamiltonians
+with one zero padding state, gathers one block per class from them into a
+zero-padded ``(classes, m, m)`` stack, ``(28, 4, 4)`` for the Deutsch gate,
+makes one batched exponential call on it, expands the steps to every block
+through its class, scatters them back and chains them from the identity
+on.  One padded index, cached with the classes and the Rydberg weights,
+does both the gather and the scatter, and an empty schedule takes the same
+path.  The padded stack costs less than the schedule-wide sectors (12 + 6 +
+6 + 3 states for three atoms) would: a batched ``eigh`` of a ``(51, 4, 4)``
+stack takes about a third of the time of one of a ``(5, 4, 12, 12)`` stack.
 
 One decomposition per run: with the dwell on, one batched ``eigh`` of the
-Hermitian stack feeds the dwell kernel and, handed to
+distinct Hermitian blocks feeds the dwell kernel and, handed to
 :func:`qcore.matrix_exponential` as ``eig``, the unitary segment steps.  The
 dwell takes each segment's start states from the running products of those
 steps: the propagator chain itself with decay off, a chain of its own with
 decay on (the Pade steps carry the decay, which the dwell leaves out).  The
 computational columns of those products are gathered into each block's
 slots, and the integral is a few batched products over the blocks of all
-segments at once.
+segments at once, with the kernel built once per class.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -99,8 +104,17 @@ def _wrap_angle(angle: float) -> float:
     return wrapped - math.pi
 
 
+@functools.cache
+def _identity(dim: int) -> np.ndarray:
+    import numpy as np
+
+    eye = np.eye(dim, dtype=complex)
+    eye.flags.writeable = False
+    return eye
+
+
 def _chain(steps: np.ndarray, layout, n_segments: int, dim: int) -> np.ndarray:
-    """Scatter a stack of block steps into full-space segment steps with
+    """Scatter a stack of per-class steps into full-space segment steps with
     ``layout`` (a :class:`qcore.SegmentLayout`) and return the
     ``n_segments + 1`` running products from the identity on:
     ``products[k] = step[k - 1] @ ... @ step[0]`` is the propagator to the
@@ -110,10 +124,12 @@ def _chain(steps: np.ndarray, layout, n_segments: int, dim: int) -> np.ndarray:
     import numpy as np
 
     full = np.zeros((n_segments, dim + 1, dim + 1), dtype=complex)
-    full.reshape(-1)[layout.index] = steps
+    full.reshape(-1)[layout.index] = steps[layout.block_class]
     products = np.empty((n_segments + 1, dim, dim), dtype=complex)
-    products[0] = np.eye(dim)
-    for k in range(n_segments):
+    products[0] = _identity(dim)
+    # the product to the end of the first segment is its step
+    products[1:2] = full[:1, :dim, :dim]
+    for k in range(1, n_segments):
         np.matmul(full[k, :dim, :dim], products[k], out=products[k + 1])
     return products
 
@@ -123,15 +139,18 @@ def _integrate_dwell(
     eigvecs: np.ndarray,
     durations: np.ndarray,
     weights: np.ndarray,
+    block_class: np.ndarray,
     starts: np.ndarray,
 ) -> np.ndarray:
     """Exact integral of the total Rydberg population from each input.
 
-    ``eigvals`` and ``eigvecs`` decompose the ``(n_blocks, m, m)`` stack of
-    Hermitian blocks, ``durations`` and ``weights`` are each block's segment
-    duration and the ``(n_blocks, m)`` Rydberg counts of its slots, and
-    ``starts[b]`` holds the ``(m, inputs)`` amplitudes of the inputs in the
-    slots of block ``b`` when its segment starts, zero in the padding.  The
+    ``eigvals`` and ``eigvecs`` decompose the ``(n_classes, m, m)`` stack of
+    distinct Hermitian blocks, ``durations`` and ``weights`` are each one's
+    segment duration and the ``(n_classes, m)`` Rydberg counts of its slots,
+    ``block_class`` is the class of every block, and ``starts[b]`` holds the
+    ``(m, inputs)`` amplitudes of the inputs in the slots of block ``b`` when
+    its segment starts, zero in the padding.  The kernel is built once per
+    class; only the start states are projected block by block.  The
     integral stays in the padded blocks: ``eigh`` mixes a padding slot with
     a block state of the same eigenvalue (0, for a Lambda block's dark
     state), so only the two together span the block.  In a block's
@@ -153,8 +172,8 @@ def _integrate_dwell(
     kernel.real = np.cos(half) * scale
     kernel.imag = sin * scale
     weighted = ((adjoint * weights[:, None, :]) @ eigvecs) * kernel
-    coeffs = adjoint @ starts
-    return np.sum(coeffs.conj() * (weighted @ coeffs), axis=(0, 1)).real
+    coeffs = adjoint[block_class] @ starts
+    return np.sum(coeffs.conj() * (weighted[block_class] @ coeffs), axis=(0, 1)).real
 
 
 def evolve(
@@ -205,20 +224,23 @@ def evolve(
         stack[s, :dim, :dim] = segment_hamiltonian(
             seg, params, cc_interaction=opts.cc_interaction
         )
-    blocks = stack.reshape(-1)[layout.index]
-    durations = np.array([seg.duration for seg in segments])[layout.segment]
+    # blocks of one class are equal, so only one of each is exponentiated
+    distinct = layout.representative
+    blocks = stack.reshape(-1)[layout.index[distinct]]
+    durations = np.array([seg.duration for seg in segments])[layout.segment[distinct]]
+    weights = layout.weights[distinct]
     hermitian = opts.decay_tau is None
     h_eff = blocks
     if not hermitian:
         # a Python float, so a tiny lifetime overflows to inf without a
         # numpy warning; qcore.matrix_exponential checks the phase
-        rate = 0.5 / opts.decay_tau * float(layout.weights.max(initial=0.0))
+        rate = 0.5 / opts.decay_tau * float(weights.max(initial=0.0))
         if not math.isfinite(rate):
             raise ValueError(
                 f"decay rate 0.5 * max_weight / tau overflows at tau = {opts.decay_tau} us"
             )
         # -i/(2 tau) on every Rydberg projector
-        decay = -0.5j / opts.decay_tau * layout.weights
+        decay = -0.5j / opts.decay_tau * weights
         h_eff = blocks + decay[..., None] * np.eye(blocks.shape[-1])
     # one decomposition serves the unitary steps and the dwell
     eig = np.linalg.eigh(blocks) if opts.compute_dwell else None
@@ -238,9 +260,10 @@ def evolve(
         starts = np.zeros((len(segments), dim + 1, len(comp)), dtype=complex)
         starts[:, :dim] = products[:-1, :, comp]
         totals = _integrate_dwell(
-            *eig, durations, layout.weights, starts[layout.segment[:, None], layout.basis]
+            *eig, durations, weights, layout.block_class,
+            starts[layout.segment[:, None], layout.basis],
         )
-        dwell = {lab: float(t) for lab, t in zip(labels, totals)}
+        dwell = dict(zip(labels, totals.tolist()))
 
     # Residue phase on the doubly excited controls, predicted from the dwell
     # span between the two control pulses.  The simulated phase additionally
@@ -255,15 +278,16 @@ def evolve(
         propagator[:, comp[:2]] *= np.exp(-1j * phase_correction)
 
     columns = propagator[:, comp]
-    comp_population = np.sum(np.abs(columns[comp, :]) ** 2, axis=0)
-    total_population = np.sum(np.abs(columns) ** 2, axis=0)
+    block = columns[comp]
+    comp_population = np.sum(np.abs(block) ** 2, axis=0).tolist()
+    total_population = np.sum(np.abs(columns) ** 2, axis=0).tolist()
     # rounding can push 1 - p a few ulp below zero
-    leakage = {lab: max(0.0, float(1.0 - p)) for lab, p in zip(labels, comp_population)}
-    norm_loss = {lab: float(1.0 - p) for lab, p in zip(labels, total_population)}
+    leakage = {lab: max(0.0, 1.0 - p) for lab, p in zip(labels, comp_population)}
+    norm_loss = {lab: 1.0 - p for lab, p in zip(labels, total_population)}
 
     return SimulationResult(
         full_propagator=propagator,
-        computational_block=propagator[np.ix_(comp, comp)],
+        computational_block=block,
         leakage_per_input=leakage,
         dwell_per_input=dwell,
         norm_loss_per_input=norm_loss,

@@ -120,6 +120,16 @@ def interaction_diagonal(
     return diag
 
 
+@functools.lru_cache(maxsize=256)
+def _interaction_matrix(params: PhysicalParams, cc_interaction: str) -> np.ndarray:
+    """:func:`interaction_diagonal` as a read-only complex diagonal matrix."""
+    import numpy as np
+
+    h = np.diag(interaction_diagonal(params, cc_interaction).astype(complex))
+    h.flags.writeable = False
+    return h
+
+
 @dataclass(frozen=True)
 class Transition:
     """One laser coupling |lower> <-> |r> on one atom.
@@ -205,17 +215,15 @@ def segment_hamiltonian(
     Each coupling's ``rabi/2`` and its conjugate are scattered onto the
     index pairs of :func:`qcore.coupling_indices`.
     """
-    import numpy as np
-
     from . import qcore
 
     n = params.n_atoms
-    h = np.diag(interaction_diagonal(params, cc_interaction).astype(complex))
+    h = _interaction_matrix(params, cc_interaction).copy()
     couplings = qcore.coupling_indices(n)
     for tr in segment.transitions:
         if tr.atom >= n:
             raise ValueError(f"transition on atom {tr.atom} exceeds register of {n}")
         rows, cols = couplings[tr.atom, qcore.LEVEL_CODE[tr.lower]]
         h[rows, cols] = tr.rabi / 2.0
-        h[cols, rows] = np.conj(tr.rabi) / 2.0
+        h[cols, rows] = tr.rabi.conjugate() / 2.0
     return h

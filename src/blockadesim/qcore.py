@@ -103,12 +103,22 @@ class SegmentLayout(NamedTuple):
     segment of each block, ``basis`` the ``(n_blocks, m)`` full-space basis
     index of each slot (``3**n`` in the padding) and ``weights`` its Rydberg
     count (0 in the padding).
+
+    Blocks of one segment whose slots differ only in the ground level of
+    atoms that the segment does not drive form one class: their entries,
+    weights and durations are equal for any parameters.  ``representative``
+    is the first block of each class, in block order, and ``block_class``
+    the class of each block, so ``blocks[representative]`` holds every
+    distinct block and ``distinct[block_class]`` expands a per-class stack
+    back to every block.
     """
 
     index: np.ndarray
     segment: np.ndarray
     basis: np.ndarray
     weights: np.ndarray
+    representative: np.ndarray
+    block_class: np.ndarray
 
 
 @functools.cache
@@ -117,9 +127,9 @@ def segment_layout(
 ) -> SegmentLayout:
     """The blocks of basis states that each segment's ``(atom, lower)``
     couplings join, in segment order and padded to the largest block size
-    ``m`` of the schedule (1 without segments), as a :class:`SegmentLayout`
-    computed once per register size and tuple of coupling sets; every array
-    is read-only.
+    ``m`` of the schedule (1 without segments), and their classes, as a
+    :class:`SegmentLayout` computed once per register size and tuple of
+    coupling sets; every array is read-only.
 
     A coupling links ``|lower>`` and ``|r>`` of one atom and nothing else, and
     every other term of a segment Hamiltonian is diagonal, so the Hamiltonian
@@ -130,20 +140,33 @@ def segment_layout(
     of the paper's protocols drives one atom, so a control pulse of a
     three-atom gate gives blocks of 4, 2, 2 and 1 states per target level, a
     target pulse nine blocks of 3.
+
+    The diagonal of a segment Hamiltonian sees an atom's level only through
+    whether it is ``r``, and each coupling puts the same ``rabi/2`` on every
+    pair of states it links, so an atom the segment leaves alone gives equal
+    blocks in ``g0`` and in ``g1``: those blocks share a class.  The Deutsch
+    gate's 51 blocks fall into 28 classes, the Toffoli's 33 into 20 and the
+    CNOT's 15 into 10.
     """
     dim = 3**n_atoms
+    g0, r = LEVEL_CODE["g0"], LEVEL_CODE["r"]
     joined = np.zeros((len(segment_couplings), n_atoms, 3), dtype=bool)
-    joined[..., LEVEL_CODE["r"]] = True
+    joined[..., r] = True
     for s, couplings in enumerate(segment_couplings):
         for atom, lower in couplings:
             joined[s, atom, LEVEL_CODE[lower]] = True
-    # a block's smallest basis index puts every atom at the lowest level of
-    # its group, and that index, offset by the segment, labels each state of
-    # the block
-    lowest = np.where(joined, joined.argmax(axis=-1)[..., None], np.arange(3))
     place = 3 ** np.arange(n_atoms - 1, -1, -1)
-    label = place @ lowest[:, np.arange(n_atoms)[:, None], level_codes(n_atoms)]
-    label += dim * np.arange(len(segment_couplings))[:, None]
+    offset = dim * np.arange(len(segment_couplings))[:, None]
+
+    def labels(lowest: np.ndarray) -> np.ndarray:
+        # each basis state's index with every atom moved to ``lowest`` of its
+        # level, offset by the segment
+        return place @ lowest[:, np.arange(n_atoms)[:, None], level_codes(n_atoms)] + offset
+
+    # a block's smallest basis index puts every atom at the lowest level of
+    # its group, and that index labels each state of the block
+    lowest = np.where(joined, joined.argmax(axis=-1)[..., None], np.arange(3))
+    label = labels(lowest)
     first, block, sizes = np.unique(label, return_inverse=True, return_counts=True)
     valid = np.arange(sizes.max(initial=1)) < sizes[:, None]
     basis = np.full(valid.shape, dim)
@@ -151,9 +174,17 @@ def segment_layout(
     segment = first // dim
     row = segment[:, None] * (dim + 1) + basis
     index = row[:, :, None] * (dim + 1) + basis[:, None, :]
-    in_r = level_codes(n_atoms) == LEVEL_CODE["r"]
+    in_r = level_codes(n_atoms) == r
     weights = np.append(in_r.sum(axis=0), 0)[basis].astype(float)
-    return SegmentLayout(*map(_read_only, (index, segment, basis, weights)))
+    # the same label with the ground levels of every undriven atom merged
+    driven = joined[..., :r].any(axis=-1, keepdims=True)
+    kind = labels(np.where(driven, lowest, np.array([g0, g0, r])))
+    _, representative, block_class = np.unique(
+        kind.reshape(-1)[first], return_index=True, return_inverse=True
+    )
+    return SegmentLayout(*map(_read_only, (
+        index, segment, basis, weights, representative, block_class
+    )))
 
 
 def is_hermitian(matrix: np.ndarray, tol: float = 1e-12) -> bool:
@@ -194,11 +225,13 @@ def matrix_exponential(
     if h.ndim < 2 or h.shape[-1] != h.shape[-2]:
         raise ValueError(f"expected square matrices, got shape {h.shape}")
     t = np.asarray(duration, dtype=float)
-    if not np.all(np.isfinite(t)) or np.any(t < 0):
+    # NaN fails the first test
+    if not ((t >= 0).all() and np.isfinite(t).all()):
         raise ValueError(f"durations must be finite and >= 0, got {duration}")
-    t = np.broadcast_to(t, h.shape[:-2])
+    if t.shape != h.shape[:-2]:
+        t = np.broadcast_to(t, h.shape[:-2])
     scale = np.abs(h).max(axis=(-2, -1), initial=0.0)
-    if not np.all(np.isfinite(scale)):
+    if not np.isfinite(scale).all():
         raise FloatingPointError("Hamiltonian contains non-finite entries")
     with np.errstate(over="ignore"):  # an overflow to inf fails the check
         phase = float((scale * t).max(initial=0.0))
@@ -216,7 +249,7 @@ def matrix_exponential(
         u = (eigvecs * phases[..., None, :]) @ eigvecs.conj().swapaxes(-1, -2)
     else:
         u = pade_expm(-1j * t[..., None, None] * h)
-    if not np.all(np.isfinite(u)):
+    if not np.isfinite(u).all():
         raise FloatingPointError("propagator contains non-finite entries")
     return u
 
@@ -227,13 +260,19 @@ def pade_expm(a: np.ndarray) -> np.ndarray:
 
     Each matrix is halved until its 1-norm is at most ``_PADE13_NORM``, the
     degree-13 Pade approximant r(a) = q(a)^-1 p(a) is solved for, and the
-    result squared back as many times as that matrix was halved.
+    result squared back as many times as that matrix was halved.  The
+    matrices are taken in descending order of that count, so each round
+    squares a leading slice of the stack.
     """
+    shape = a.shape
+    a = a.reshape(-1, *shape[-2:])
     norm = np.abs(a).sum(axis=-2).max(axis=-1)
     squarings = np.zeros(norm.shape, dtype=int)
     large = norm > _PADE13_NORM
     squarings[large] = np.ceil(np.log2(norm[large] / _PADE13_NORM))
-    a = a * np.ldexp(1.0, -squarings)[..., None, None]
+    order = np.argsort(-squarings, kind="stable")
+    squarings = squarings[order]
+    a = a[order] * np.ldexp(1.0, -squarings)[:, None, None]
     b = _PADE13
     eye = np.eye(a.shape[-1], dtype=a.dtype)
     a2 = a @ a
@@ -248,8 +287,10 @@ def pade_expm(a: np.ndarray) -> np.ndarray:
         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
     )
     r = np.linalg.solve(even - odd, even + odd)
-    for k in range(int(squarings.max(initial=0))):
-        # only the matrices halved more than k times are squared again
-        mask = squarings > k
-        r[mask] = r[mask] @ r[mask]
-    return r
+    # round k squares the matrices halved more than k times, the first ends[k]
+    ends = np.searchsorted(-squarings, -np.arange(squarings.max(initial=0)))
+    for end in ends.tolist():
+        r[:end] = r[:end] @ r[:end]
+    result = np.empty_like(r)
+    result[order] = r
+    return result.reshape(shape)

@@ -51,9 +51,10 @@ def weak_row_two_photon_prediction(drive, v):
 @pytest.mark.parametrize("compute_dwell", [False, True])
 @pytest.mark.parametrize("decay_tau", [None, 1590.0])
 def test_empty_schedule_is_identity(decay_tau, compute_dwell):
-    # no segments: a layout of no blocks, each padded to one slot
+    # no segments: a layout of no blocks, each padded to one slot, and no
+    # classes
     layout = qcore.segment_layout(3, ())
-    assert [a.shape for a in layout] == [(0, 1, 1), (0,), (0, 1), (0, 1)]
+    assert [a.shape for a in layout] == [(0, 1, 1), (0,), (0, 1), (0, 1), (0,), (0,)]
     options = SimulationOptions(decay_tau=decay_tau, compute_dwell=compute_dwell)
     result = evolve(GateSchedule((), "idle", 3), REF_PARAMS, options)
     np.testing.assert_array_equal(result.full_propagator, np.eye(27))
@@ -512,6 +513,35 @@ def test_sector_evolve_matches_reference_across_the_grid(decay_tau):
         assert_matches_reference(
             deutsch_schedule(drive), REF_PARAMS, decay_tau, "physical", 5e-12, 1e-13
         )
+
+
+def every_block_layout(layout):
+    """``layout`` with every block a class of its own, so that evolve
+    exponentiates each padded block."""
+    every = np.arange(len(layout.index))
+    return layout._replace(representative=every, block_class=every)
+
+
+@pytest.mark.parametrize("f_mhz", [0.02, 0.54, 2.3])
+@pytest.mark.parametrize("compute_dwell", [False, True])
+@pytest.mark.parametrize("decay_tau", [None, 1590.0])
+@pytest.mark.parametrize("builder,params", GATES)
+def test_one_block_per_class_is_exact(
+    monkeypatch, builder, params, decay_tau, compute_dwell, f_mhz
+):
+    # blocks of one class are equal, so exponentiating one of each gives the
+    # same bits as exponentiating all of them
+    schedule = builder(DriveParams.from_ratio(TWO_PI * 10.0, TWO_PI * f_mhz, 2.0))
+    options = SimulationOptions(decay_tau=decay_tau, compute_dwell=compute_dwell)
+    result = evolve(schedule, params, options)
+    layout = qcore.segment_layout
+    monkeypatch.setattr(qcore, "segment_layout", lambda *args: every_block_layout(layout(*args)))
+    reference = evolve(schedule, params, options)
+    np.testing.assert_array_equal(result.full_propagator, reference.full_propagator)
+    np.testing.assert_array_equal(result.computational_block, reference.computational_block)
+    for name in ("leakage_per_input", "norm_loss_per_input", "dwell_per_input",
+                 "phase_correction", "phase_mismatch"):
+        assert getattr(result, name) == getattr(reference, name), name
 
 
 def mixing_degenerate_eigenvectors(eigh):

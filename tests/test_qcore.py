@@ -5,10 +5,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockadesim import qcore
 from blockadesim.model import (
     PhysicalParams,
+    PulseSegment,
+    Transition,
     computational_labels,
     interaction_diagonal,
     segment_hamiltonian,
@@ -275,6 +279,62 @@ def test_segment_stack_gathers_and_scatters_every_segment_hamiltonian(builder, n
     assert np.all(layout.weights[~valid] == 0)
     in_r = qcore.level_codes(n_atoms) == qcore.LEVEL_CODE["r"]
     np.testing.assert_array_equal(layout.weights[valid], in_r.sum(axis=0)[layout.basis[valid]])
+
+
+@pytest.mark.parametrize(
+    "builder,n_atoms,n_blocks,n_classes",
+    [(deutsch_schedule, 3, 51, 28), (toffoli_schedule, 3, 33, 20), (cnot_schedule, 2, 15, 10)],
+)
+def test_segment_stack_classes(builder, n_atoms, n_blocks, n_classes):
+    layout = qcore.segment_layout(n_atoms, segment_couplings(builder(DRIVE)))
+    assert layout.block_class.shape == (n_blocks,)
+    assert layout.representative.shape == (n_classes,)
+    # each class is represented by its first block, in block order
+    np.testing.assert_array_equal(layout.block_class[layout.representative], np.arange(n_classes))
+    first = [np.flatnonzero(layout.block_class == c)[0] for c in range(n_classes)]
+    np.testing.assert_array_equal(layout.representative, first)
+
+
+COUPLING_SETS = st.lists(
+    st.frozensets(st.tuples(st.integers(0, 2), st.sampled_from(["g0", "g1"]))),
+    min_size=1, max_size=4,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_atoms=st.sampled_from([2, 3]),
+    couplings=COUPLING_SETS,
+    c6=st.floats(1.0, 1e3) | st.floats(-1e3, -1.0),
+    spacing=st.floats(2.0, 12.0),
+    cc=st.sampled_from(["physical", "none"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_blocks_of_one_class_are_equal(n_atoms, couplings, c6, spacing, cc, seed):
+    # the premise of exponentiating one block per class: for any couplings
+    # and parameters, the blocks of a class carry the same entries, weights
+    # and segment
+    couplings = tuple(
+        frozenset((atom, lower) for atom, lower in c if atom < n_atoms) for c in couplings
+    )
+    rng = np.random.default_rng(seed)
+    params = PhysicalParams(c6, spacing, 1590.0, n_atoms)
+    layout = qcore.segment_layout(n_atoms, couplings)
+    dim = 3**n_atoms
+    stack = np.zeros((len(couplings), dim + 1, dim + 1), dtype=complex)
+    for s, coupling in enumerate(couplings):
+        k = len(coupling)
+        rabi = rng.uniform(0.1, 100.0, k) * np.exp(2j * np.pi * rng.random(k))
+        transitions = [Transition(a, lower, w) for (a, lower), w in zip(sorted(coupling), rabi)]
+        segment = PulseSegment(tuple(transitions), 1.0)
+        stack[s, :dim, :dim] = segment_hamiltonian(segment, params, cc_interaction=cc)
+    blocks = stack.reshape(-1)[layout.index]
+    n_classes = len(layout.representative)
+    np.testing.assert_array_equal(layout.block_class[layout.representative], np.arange(n_classes))
+    rep = layout.representative[layout.block_class]
+    np.testing.assert_array_equal(blocks, blocks[rep])
+    np.testing.assert_array_equal(layout.weights, layout.weights[rep])
+    np.testing.assert_array_equal(layout.segment, layout.segment[rep])
 
 
 def test_matrix_exponential_requires_the_hermitian_keyword():
