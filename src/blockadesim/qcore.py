@@ -109,7 +109,7 @@ class SegmentLayout(NamedTuple):
     weights and durations are equal for any parameters.  ``representative``
     is the first block of each class, in block order, and ``block_class``
     the class of each block, so ``blocks[representative]`` holds every
-    distinct block and ``distinct[block_class]`` expands a per-class stack
+    distinct block and ``per_class[block_class]`` expands a per-class stack
     back to every block.
     """
 
