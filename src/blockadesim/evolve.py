@@ -3,42 +3,34 @@ Rydberg-dwell, and residue-phase diagnostics.
 
 Each piecewise-constant segment is evolved by an exact matrix exponential, so
 there is no integrator error to disentangle from physical imperfections.  The
-Rydberg dwell is integrated in closed form in each segment's eigenbasis, so it
-is exact per segment as well, at a cost independent of segment durations.
-Decay is an effective non-Hermitian term -i/(2 tau) on every Rydberg
-projector: lost norm equals the decay probability, branching is not tracked.
+Rydberg dwell is integrated in closed form per segment as well, at a cost
+independent of segment durations.  Decay is an effective non-Hermitian term
+-i/(2 tau) on every Rydberg projector: lost norm equals the decay
+probability, branching is not tracked.
 
 Sector packing, segment by segment: a coupling links ``|lower>`` and ``|r>``
 of one atom, so each segment's Hamiltonian, decay term and Rydberg weights
-are block-diagonal, each block a product of per-atom level groups (``r`` with
-the lower levels that segment couples to it, every other level alone).  In
-the paper's protocols each pulse drives one atom: a control pulse gives
-blocks of 4, 2, 2 and 1 states per target level (2 and 1 for the CNOT), a
-target pulse one 3-state Lambda block per control configuration, 51 blocks
-of 4 states for the Deutsch gate.  Blocks that differ only in the ground
-level of an atom the segment does not drive are equal for any parameters
-(the Hamiltonian sees such an atom only through whether it is in ``r``),
-so :func:`qcore.segment_layout` groups them into classes: 28 for the
-Deutsch gate.  :func:`evolve` builds the full-space segment Hamiltonians
-with one zero padding state, gathers one block per class from them into a
-zero-padded ``(classes, m, m)`` stack, ``(28, 4, 4)`` for the Deutsch gate,
-makes one batched exponential call on it, expands the steps to every block
-through its class, scatters them back and chains them from the identity
-on.  One padded index, cached with the classes and the Rydberg weights,
-does both the gather and the scatter, and an empty schedule takes the same
-path.  The padded stack costs less than the schedule-wide sectors (12 + 6 +
-6 + 3 states for three atoms) would: a batched ``eigh`` of a ``(51, 4, 4)``
-stack takes about a third of the time of one of a ``(5, 4, 12, 12)`` stack.
+are block-diagonal, each block a product of per-atom level groups.  Blocks
+that differ only in the ground level of an atom the segment does not drive
+are equal for any parameters, so :func:`qcore.segment_layout` groups them
+into classes: 28 of the Deutsch gate's 51 blocks of up to 4 states.
+:func:`evolve` builds the full-space segment Hamiltonians with one zero
+padding state, gathers one block per class into a zero-padded ``(classes,
+m, m)`` stack, ``(28, 4, 4)`` for the Deutsch gate, exponentiates it in one
+batched call, scatters the steps to every block of their class and chains
+them from the identity on.  One padded index, cached with the classes and
+the Rydberg weights, does both the gather and the scatter, and an empty
+schedule takes the same path.
 
 One decomposition per run: with the dwell on, one batched ``eigh`` of the
-distinct Hermitian blocks feeds the dwell kernel and, handed to
-:func:`qcore.matrix_exponential` as ``eig``, the unitary segment steps.  The
-dwell takes each segment's start states from the running products of those
-steps: the propagator chain itself with decay off, a chain of its own with
-decay on (the Pade steps carry the decay, which the dwell leaves out).  The
-computational columns of those products are gathered into each block's
-slots, and the integral is a few batched products over the blocks of all
-segments at once, with the kernel built once per class.
+distinct Hermitian blocks gives the unitary steps (handed to
+:func:`qcore.matrix_exponential` as ``eig``) and each class's dwell operator
+``D = int_0^T U(t)^dag W U(t) dt``, which scatters to full-space segment
+matrices exactly as the steps do.  An input's dwell is the sum over
+segments of ``D``'s expectation in its state at the segment start, a column
+of the running products of the unitary steps: the propagator chain itself
+with decay off, a chain of its own with decay on (the Pade steps carry the
+decay, which the dwell leaves out).
 """
 
 from __future__ import annotations
@@ -113,53 +105,52 @@ def _identity(dim: int) -> np.ndarray:
     return eye
 
 
-def _chain(steps: np.ndarray, layout, n_segments: int, dim: int) -> np.ndarray:
-    """Scatter a stack of per-class steps into full-space segment steps with
-    ``layout`` (a :class:`qcore.SegmentLayout`) and return the
-    ``n_segments + 1`` running products from the identity on:
-    ``products[k] = step[k - 1] @ ... @ step[0]`` is the propagator to the
-    start of segment ``k``, and ``products[-1]`` the whole schedule's.  The
-    padding state is sliced off, with the rounding-level values that the
-    scatter writes into its row and column."""
+def _scatter(per_class: np.ndarray, layout, shape: tuple[int, ...]) -> np.ndarray:
+    """The full-space segment matrices that a stack of per-class blocks fills
+    through ``layout`` (a :class:`qcore.SegmentLayout`), in a zero stack of
+    the padded ``shape`` ``(segments, 3**n + 1, 3**n + 1)``: every block
+    takes its class's entries, and the padding state is sliced off with
+    whatever the blocks' padding slots write into its row and column."""
     import numpy as np
 
-    full = np.zeros((n_segments, dim + 1, dim + 1), dtype=complex)
-    full.reshape(-1)[layout.index] = steps[layout.block_class]
+    full = np.zeros(shape, dtype=complex)
+    full.reshape(-1)[layout.index] = per_class[layout.block_class]
+    return full[:, :-1, :-1]
+
+
+def _chain(steps: np.ndarray) -> np.ndarray:
+    """The ``len(steps) + 1`` running products of full-space segment steps
+    from the identity on: ``products[k] = steps[k - 1] @ ... @ steps[0]`` is
+    the propagator to the start of segment ``k``, and ``products[-1]`` the
+    whole schedule's."""
+    import numpy as np
+
+    n_segments, dim = len(steps), steps.shape[-1]
     products = np.empty((n_segments + 1, dim, dim), dtype=complex)
     products[0] = _identity(dim)
     # the product to the end of the first segment is its step
-    products[1:2] = full[:1, :dim, :dim]
+    products[1:2] = steps[:1]
     for k in range(1, n_segments):
-        np.matmul(full[k, :dim, :dim], products[k], out=products[k + 1])
+        np.matmul(steps[k], products[k], out=products[k + 1])
     return products
 
 
-def _integrate_dwell(
-    eigvals: np.ndarray,
-    eigvecs: np.ndarray,
-    durations: np.ndarray,
-    weights: np.ndarray,
-    block_class: np.ndarray,
-    starts: np.ndarray,
+def _dwell_operators(
+    eigvals: np.ndarray, eigvecs: np.ndarray, durations: np.ndarray, weights: np.ndarray
 ) -> np.ndarray:
-    """Exact integral of the total Rydberg population from each input.
+    """Each block's dwell operator ``D = int_0^T U(t)^dag W U(t) dt``, whose
+    expectation in a state at its segment's start is that state's Rydberg
+    dwell over the segment (Van Loan, IEEE Trans. Autom. Control 23, 395
+    (1978)).
 
     ``eigvals`` and ``eigvecs`` decompose the ``(n_classes, m, m)`` stack of
     distinct Hermitian blocks, ``durations`` and ``weights`` are each one's
-    segment duration and the ``(n_classes, m)`` Rydberg counts of its slots,
-    ``block_class`` is the class of every block, and ``starts[b]`` holds the
-    ``(m, inputs)`` amplitudes of the inputs in the slots of block ``b`` when
-    its segment starts, zero in the padding.  The kernel is built once per
-    class; only the start states are projected block by block.  The
-    integral stays in the padded blocks: ``eigh`` mixes a padding slot with
-    a block state of the same eigenvalue (0, for a Lambda block's dark
-    state), so only the two together span the block.  In a block's
-    eigenbasis, with ``c = V^dag psi`` and ``M = V^dag W V``, the population
-    is ``sum_jk conj(c_j) M_jk c_k exp(i (lam_j - lam_k) t)``, whose integral
-    over [0, T] weights ``M_jk`` by ``T exp(i x_jk) sin(x_jk) / x_jk`` with
-    ``x_jk = (lam_j - lam_k) T / 2``, which is ``T`` for degenerate
-    eigenvalues.  The blocks of all segments go through the same batched
-    products, so there is no loop over segments.
+    segment duration and the ``(n_classes, m)`` Rydberg counts ``W`` of its
+    slots.  With ``M = V^dag W V``, ``D = V (M o K) V^dag``, where ``K_jk =
+    T exp(i x_jk) sin(x_jk) / x_jk`` with ``x_jk = (lam_j - lam_k) T / 2`` is
+    the integral of ``exp(i (lam_j - lam_k) t)`` over [0, T], ``T`` for
+    degenerate eigenvalues.  ``D`` is the same for any eigenbasis inside a
+    degenerate eigenspace, and its padding row and column vanish to rounding.
     """
     import numpy as np
 
@@ -171,9 +162,7 @@ def _integrate_dwell(
     kernel = np.empty(half.shape, dtype=complex)
     kernel.real = np.cos(half) * scale
     kernel.imag = sin * scale
-    weighted = ((adjoint * weights[:, None, :]) @ eigvecs) * kernel
-    coeffs = adjoint[block_class] @ starts
-    return np.sum(coeffs.conj() * (weighted[block_class] @ coeffs), axis=(0, 1)).real
+    return eigvecs @ (((adjoint * weights[:, None, :]) @ eigvecs) * kernel) @ adjoint
 
 
 def evolve(
@@ -247,7 +236,7 @@ def evolve(
     steps = qcore.matrix_exponential(
         h_eff, durations, hermitian=hermitian, eig=eig if hermitian else None
     )
-    products = _chain(steps, layout, len(segments), dim)
+    products = _chain(_scatter(steps, layout, stack.shape))
     propagator = products[-1]
     dwell = None
     if opts.compute_dwell:
@@ -255,14 +244,10 @@ def evolve(
         # before it: the propagator chain itself when decay is off
         if not hermitian:
             unitary = qcore.matrix_exponential(blocks, durations, hermitian=True, eig=eig)
-            products = _chain(unitary, layout, len(segments), dim)
-        # the inputs at each segment start, and a zero row for the padding
-        starts = np.zeros((len(segments), dim + 1, len(comp)), dtype=complex)
-        starts[:, :dim] = products[:-1, :, comp]
-        totals = _integrate_dwell(
-            *eig, durations, weights, layout.block_class,
-            starts[layout.segment[:, None], layout.basis],
-        )
+            products = _chain(_scatter(unitary, layout, stack.shape))
+        operators = _scatter(_dwell_operators(*eig, durations, weights), layout, stack.shape)
+        starts = products[:-1, :, comp]
+        totals = np.sum(starts.conj() * (operators @ starts), axis=(0, 1)).real
         dwell = dict(zip(labels, totals.tolist()))
 
     # Residue phase on the doubly excited controls, predicted from the dwell

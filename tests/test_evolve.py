@@ -8,7 +8,7 @@ import pytest
 
 from blockadesim import qcore
 from blockadesim.budget import TAU_BY_TEMPERATURE, avg_dwell, dwell_table, error_budget
-from blockadesim.evolve import SimulationOptions, evolve
+from blockadesim.evolve import SimulationOptions, _dwell_operators, evolve
 from blockadesim.ideal import cnot_ideal, deutsch_ideal, gate_fidelity, toffoli_ideal
 from blockadesim.model import (
     GateSchedule,
@@ -576,6 +576,51 @@ def test_dwell_in_padded_blocks_holds_under_degenerate_mixing(
     assert np.abs(result.full_propagator - propagator).max() <= 1e-13
     for label, expected in dwell.items():
         assert abs(result.dwell_per_input[label] - expected) <= 1e-13 * abs(expected), label
+
+
+def padded_dwell_blocks(seed):
+    """Hermitian blocks padded to 4 with their durations, Rydberg weights and
+    sizes: random blocks of 4, 3 and 2 states; a Lambda block whose dark
+    state has eigenvalue 0, as its padding slot does; a 1-state block with a
+    shift, and one at zero energy that is degenerate with its padding."""
+    rng = np.random.default_rng(seed)
+    sizes = np.array([4, 3, 2, 3, 1, 1])
+    blocks = np.zeros((len(sizes), 4, 4), dtype=complex)
+    weights = np.zeros((len(sizes), 4))
+    for b, size in enumerate(sizes[:3]):
+        a = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+        blocks[b, :size, :size] = a + a.conj().T
+        weights[b, :size] = rng.integers(1, 4, size)
+    blocks[3, :3, :3] = [[0.0, 0.0, 1.3], [0.0, 0.0, 0.7], [1.3, 0.7, -0.4]]
+    weights[3, 2] = 1.0
+    blocks[4, 0, 0] = -2.1
+    weights[4, 0] = 2.0
+    weights[5, 0] = 1.0
+    return blocks, rng.uniform(0.5, 2.0, len(sizes)), weights, sizes
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_dwell_operators_match_quadrature(seed):
+    # D = int_0^T U(t)^dag W U(t) dt by 64-point Gauss-Legendre, with U(t)
+    # from the Pade path, so no eigh enters the reference
+    blocks, durations, weights, sizes = padded_dwell_blocks(seed)
+    nodes, quadrature = np.polynomial.legendre.leggauss(64)
+    t = 0.5 * durations[:, None] * (nodes + 1.0)
+    u = qcore.pade_expm(-1j * blocks[:, None] * t[..., None, None])
+    integrand = u.conj().swapaxes(-1, -2) @ (weights[:, None, :, None] * u)
+    expected = np.einsum("bq,bqjk->bjk", 0.5 * durations[:, None] * quadrature, integrand)
+    scale = (durations * weights.max(axis=1))[:, None, None]
+    padding = np.arange(4) >= sizes[:, None]
+    edge = padding[:, :, None] | padding[:, None, :]
+    operators = []
+    for eigh in (np.linalg.eigh, mixing_degenerate_eigenvectors(np.linalg.eigh)):
+        d = _dwell_operators(*eigh(blocks), durations, weights)
+        assert np.all(np.abs(d - expected) <= 1e-12 * scale)
+        assert np.all(np.abs(d - d.conj().swapaxes(-1, -2)) <= 1e-15 * scale)
+        assert np.all((np.abs(d) <= 1e-15 * scale)[edge])
+        operators.append(d)
+    # the operator does not depend on the eigenbasis inside a degenerate space
+    assert np.all(np.abs(operators[0] - operators[1]) <= 4e-15 * scale)
 
 
 @pytest.mark.parametrize("cc", ["physical", "none"])
