@@ -18,6 +18,13 @@ Examples:
 When --out is given the primary artifact (JSON, or CSV for sweep) goes to the
 file and the human-readable summary to stdout; without --out the artifact
 goes to stdout and the summary to stderr.
+
+The request envelope is built once, in ``main``: it resolves the config and
+builds the drive and the register, then the ``{"config", "derived"}`` head of
+a JSON artifact before the command runs.  Each ``cmd_*`` function maps the
+resolved request ``(cfg, drive, params)`` to its artifact body and summary
+and writes nothing; ``cmd_sweep`` returns the CSV and the rows and argmins
+of its JSON summary.  ``main`` then writes the output with one ``_emit``.
 """
 
 from __future__ import annotations
@@ -283,15 +290,6 @@ def gate_functions(gate: str):
     }[gate]
 
 
-def build_options(cfg: dict) -> SimulationOptions:
-    opts = cfg["options"]
-    return SimulationOptions(
-        decay_tau=resolve_tau(cfg) if opts["decay"] == "effective" else None,
-        cc_interaction=opts["cc_interaction"],
-        frame_correction=opts["frame_correction"],
-    )
-
-
 def derived_block(cfg: dict, drive: DriveParams, params: PhysicalParams) -> dict:
     theta = drive.theta if cfg["gate"] != "cnot" else None
     return {
@@ -316,11 +314,9 @@ def _json_text(payload: dict) -> str:
                          "the model can evaluate") from None
 
 
-def _emit(artifact: dict | str, out_path: str | None, summary: str) -> None:
-    """Primary artifact (a JSON payload, or prebuilt text) to --out with the
-    summary to stdout, or to stdout with the summary to stderr."""
-    if isinstance(artifact, dict):
-        artifact = _json_text(artifact) + "\n"
+def _emit(artifact: str, out_path: str | None, summary: str) -> None:
+    """Primary artifact to --out with the summary to stdout, or to stdout
+    with the summary to stderr."""
     if out_path:
         try:
             with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
@@ -333,11 +329,9 @@ def _emit(artifact: dict | str, out_path: str | None, summary: str) -> None:
         sys.stdout.write(artifact)
 
 
-def cmd_synth(cfg: dict, drive: DriveParams, out: str | None) -> None:
+def cmd_synth(cfg: dict, drive: DriveParams, params: PhysicalParams) -> tuple[dict, str]:
     gate = cfg["gate"]
     schedule = gate_functions(gate)[0](drive)
-    params = build_params(cfg)
-    derived = derived_block(cfg, drive, params)
     phi = residue_phase(gate, drive, params)
     # a gate without a residue phase has nothing to match
     matches = [
@@ -363,15 +357,10 @@ def cmd_synth(cfg: dict, drive: DriveParams, out: str | None) -> None:
         }
         for i, seg in enumerate(schedule.segments, start=1)
     ]
-    lines = [
-        f"{cfg['gate']} schedule ({schedule.n_atoms} atoms), "
-        f"total {schedule.total_duration:.6f} us"
-    ]
-    if derived["theta_rad"] is not None:
-        lines.append(
-            f"theta = {derived['theta_rad']:.9f} rad "
-            f"(ratio omega2/omega1 = {derived['ratio_omega2_over_omega1']:.9f})"
-        )
+    lines = [f"{gate} schedule ({schedule.n_atoms} atoms), total {schedule.total_duration:.6f} us"]
+    if gate != "cnot":  # the cnot has no angle, as in derived_block
+        lines.append(f"theta = {drive.theta:.9f} rad "
+                     f"(ratio omega2/omega1 = {drive.omega2 / drive.omega1:.9f})")
     for seg in segments:
         lines.append(f"segment {seg['index']}: {seg['duration_us']:.6f} us")
         lines.extend(
@@ -384,16 +373,8 @@ def cmd_synth(cfg: dict, drive: DriveParams, out: str | None) -> None:
         "phase-matched omega_bar/2pi (MHz): "
         + (", ".join(f"N={m['N']}: {m['omega_bar_MHz']:.6f}" for m in matches) or "none")
     )
-    listing = "\n".join(lines)
-
-    payload = {
-        "config": cfg,
-        "derived": derived,
-        "phi_rad": phi,
-        "phase_matching": matches,
-        "segments": segments,
-    }
-    _emit(payload, out, listing)
+    body = {"phi_rad": phi, "phase_matching": matches, "segments": segments}
+    return body, "\n".join(lines)
 
 
 def provenance_block() -> dict:
@@ -411,14 +392,18 @@ def provenance_block() -> dict:
     }
 
 
-def cmd_simulate(cfg: dict, drive: DriveParams, out: str | None) -> None:
+def cmd_simulate(cfg: dict, drive: DriveParams, params: PhysicalParams) -> tuple[dict, str]:
     from .qcore import unitarity_defect
 
     start = time.perf_counter()
     build_schedule, ideal_gate = gate_functions(cfg["gate"])
     schedule = build_schedule(drive)
-    params = build_params(cfg)
-    options = build_options(cfg)
+    opts = cfg["options"]
+    options = SimulationOptions(
+        decay_tau=resolve_tau(cfg) if opts["decay"] == "effective" else None,
+        cc_interaction=opts["cc_interaction"],
+        frame_correction=opts["frame_correction"],
+    )
     built = time.perf_counter()
     result = evolve(schedule, params, options)
     evolved = time.perf_counter()
@@ -429,9 +414,7 @@ def cmd_simulate(cfg: dict, drive: DriveParams, out: str | None) -> None:
     defect = unitarity_defect(result.full_propagator)
     measured = time.perf_counter()
 
-    payload = {
-        "config": cfg,
-        "derived": derived_block(cfg, drive, params),
+    body = {
         "fidelity": {"state_average": fid_avg, "trace": fid_trace},
         "infidelity_state_average": 1.0 - fid_avg,
         "leakage_per_input": result.leakage_per_input,
@@ -450,20 +433,14 @@ def cmd_simulate(cfg: dict, drive: DriveParams, out: str | None) -> None:
             "metrics": 1e3 * (measured - evolved),
         },
     }
-    summary = (
-        f"{cfg['gate']}: state-average fidelity {fid_avg:.6f}, "
-        f"trace fidelity {fid_trace:.6f}"
-    )
-    _emit(payload, out, summary)
+    return body, (f"{cfg['gate']}: state-average fidelity {fid_avg:.6f}, "
+                  f"trace fidelity {fid_trace:.6f}")
 
 
-def cmd_budget(cfg: dict, drive: DriveParams, out: str | None) -> None:
-    params = build_params(cfg)
+def cmd_budget(cfg: dict, drive: DriveParams, params: PhysicalParams) -> tuple[dict, str]:
     tau = resolve_tau(cfg)
     b = error_budget(drive, params, tau, cfg["gate"])
-    payload = {
-        "config": cfg,
-        "derived": derived_block(cfg, drive, params),
+    body = {
         "temperature": cfg["temperature"] if cfg["tau_us"] is None else None,
         "tau_us": tau,
         "budget": {**asdict(b), "total": b.total},
@@ -473,12 +450,11 @@ def cmd_budget(cfg: dict, drive: DriveParams, out: str | None) -> None:
         f"total error {b.total:.6e} "
         f"(decay {b.decay:.3e}, blockade {b.blockade:.3e}, two-photon {b.two_photon:.3e})"
     )
-    _emit(payload, out, summary)
+    return body, summary
 
 
-def cmd_phase(cfg: dict, drive: DriveParams, out: str | None) -> None:
+def cmd_phase(cfg: dict, drive: DriveParams, params: PhysicalParams) -> tuple[dict, str]:
     gate = cfg["gate"]
-    params = build_params(cfg)
     phi = residue_phase(gate, drive, params)
     solutions = []
     for n in range(1, 9) if phi else ():
@@ -492,15 +468,9 @@ def cmd_phase(cfg: dict, drive: DriveParams, out: str | None) -> None:
                 "phi_rad": residue_phase(gate, matched, params),
             }
         )
-    payload = {
-        "config": cfg,
-        "derived": derived_block(cfg, drive, params),
-        "phi_rad": phi,
-        "phi_over_pi": phi / math.pi,
-        "matched_solutions": solutions,
-    }
-    summary = f"phi = {phi:.6f} rad ({phi / math.pi:.4f} pi) at omega_bar/2pi = {cfg['omega_bar_MHz']} MHz"
-    _emit(payload, out, summary)
+    body = {"phi_rad": phi, "phi_over_pi": phi / math.pi, "matched_solutions": solutions}
+    return body, (f"phi = {phi:.6f} rad ({phi / math.pi:.4f} pi) "
+                  f"at omega_bar/2pi = {cfg['omega_bar_MHz']} MHz")
 
 
 # The sweep CSV: each column and the SweepPoint attribute it prints.
@@ -517,16 +487,11 @@ CSV_COLUMNS = {
 }
 
 
-def _csv_text(points) -> str:
-    row = attrgetter(*CSV_COLUMNS.values())
-    lines = [",".join(CSV_COLUMNS)]
-    lines += [",".join(f"{v:.9g}" for v in row(p)) for p in points]
-    return "\n".join(lines) + "\n"
-
-
-def cmd_sweep(cfg: dict, drive: DriveParams, out: str | None) -> None:
-    params = build_params(cfg)
-    ratio = drive.omega2 / drive.omega1
+def cmd_sweep(cfg: dict, drive: DriveParams, params: PhysicalParams) -> tuple[str, dict]:
+    """The CSV, and the rows and argmins of its JSON summary."""
+    if cfg["omega3_MHz"] is not None:
+        raise ConfigError("omega3_MHz must be null for sweep, which sets "
+                          "omega3 = omega_bar/sqrt(2) at every grid point")
     grid = cfg["sweep"]
     points = sweep(
         params,
@@ -534,29 +499,20 @@ def cmd_sweep(cfg: dict, drive: DriveParams, out: str | None) -> None:
         stop_mhz=grid["stop_MHz"],
         step_mhz=grid["step_MHz"],
         omega0=TWO_PI * cfg["omega0_MHz"],
-        ratio=ratio,
+        ratio=drive.omega2 / drive.omega1,
         gate=cfg["gate"],
     )
-    csv_text = _csv_text(points)
+    row = attrgetter(*CSV_COLUMNS.values())
+    lines = [",".join(CSV_COLUMNS)]
+    lines += [",".join(f"{v:.9g}" for v in row(p)) for p in points]
 
     min_cold = argmin_total(points, "4.2K")
     min_warm = argmin_total(points, "300K")
-    summary_payload = {
-        "config": cfg,
-        "rows": len(points),
-        "argmin": {
-            "4.2K": {
-                "omega_bar_MHz": min_cold.omega_bar_mhz,
-                "total": min_cold.budget_4k.total,
-            },
-            "300K": {
-                "omega_bar_MHz": min_warm.omega_bar_mhz,
-                "total": min_warm.budget_300k.total,
-            },
-        },
-        "csv_path": out,
+    argmin = {
+        "4.2K": {"omega_bar_MHz": min_cold.omega_bar_mhz, "total": min_cold.budget_4k.total},
+        "300K": {"omega_bar_MHz": min_warm.omega_bar_mhz, "total": min_warm.budget_300k.total},
     }
-    _emit(csv_text, out, _json_text(summary_payload))
+    return "\n".join(lines) + "\n", {"rows": len(points), "argmin": argmin}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -594,7 +550,17 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = resolve_config(args)
-        args.run(cfg, build_drive(cfg), args.out)
+        drive = build_drive(cfg)
+        params = build_params(cfg)
+        if args.command == "sweep":  # the CSV, with a JSON summary
+            artifact, rows = args.run(cfg, drive, params)
+            summary = _json_text({"config": cfg, **rows, "csv_path": args.out})
+        else:
+            # the head first, so that its errors come before the command's
+            head = {"config": cfg, "derived": derived_block(cfg, drive, params)}
+            body, summary = args.run(cfg, drive, params)
+            artifact = _json_text({**head, **body}) + "\n"
+        _emit(artifact, args.out, summary)
         # A piped stdout is block-buffered, so a short report sits in the
         # buffer until it is flushed; flush here, where a closed reader's
         # BrokenPipeError is caught, not at interpreter exit.

@@ -401,6 +401,24 @@ def test_sweep_grid_step_flag(tmp_path):
     assert len(lines) == 11
 
 
+def test_sweep_rejects_omega3(tmp_path, capsys):
+    # the sweep sets omega3 = omega_bar/sqrt(2) at every grid point
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--omega3-mhz", "0.05", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: omega3_MHz must be null for sweep")
+    assert "omega_bar/sqrt(2)" in lines[0]
+    # a null value runs, and gives the default sweep
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"omega3_MHz": None}))
+    nulled = tmp_path / "nulled.csv"
+    assert main(["sweep", "--config", str(cfg_path), "--out", str(nulled)]) == 0
+    assert main(["sweep", "--out", str(out)]) == 0
+    assert nulled.read_bytes() == out.read_bytes()
+
+
 def test_sweep_grid_over_limit_gives_one_error_line(tmp_path, capsys):
     # one point over the limit, so a missing check builds no huge grid
     out = tmp_path / "sweep.csv"
@@ -433,7 +451,19 @@ def test_config_file_roundtrip(tmp_path):
     assert payload["derived"]["theta_rad"] == pytest.approx(1.0, abs=1e-9)
 
 
-def test_config_echo_embedded_everywhere(tmp_path):
+# the top-level keys of each JSON artifact, and of the sweep's JSON summary
+ARTIFACT_KEYS = {
+    "synth": {"config", "derived", "phi_rad", "phase_matching", "segments"},
+    "simulate": {"config", "derived", "fidelity", "infidelity_state_average",
+                 "leakage_per_input", "norm_loss_per_input", "dwell_per_input_us", "phase",
+                 "unitarity_defect", "provenance", "timings_ms"},
+    "budget": {"config", "derived", "temperature", "tau_us", "budget"},
+    "phase": {"config", "derived", "phi_rad", "phi_over_pi", "matched_solutions"},
+    "sweep": {"config", "rows", "argmin", "csv_path"},
+}
+
+
+def test_config_echo_embedded_everywhere(tmp_path, capsys):
     for name, argv in [
         ("synth.json", ["synth"]),
         ("sim.json", ["simulate", "--gate", "cnot"]),
@@ -441,8 +471,16 @@ def test_config_echo_embedded_everywhere(tmp_path):
         ("phase.json", ["phase"]),
     ]:
         payload = run_json(tmp_path, name, argv)
+        assert set(payload) == ARTIFACT_KEYS[argv[0]]
         assert payload["config"]["omega0_MHz"] == 10.0
         assert payload["config"]["c6_GHz_um6"] == -633.0
+    capsys.readouterr()
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--out", str(out)]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert set(summary) == ARTIFACT_KEYS["sweep"]
+    assert summary["config"]["omega0_MHz"] == 10.0
+    assert summary["csv_path"] == str(out)
 
 
 def test_theta_and_ratio_together_rejected(capsys):
@@ -529,12 +567,31 @@ def test_invalid_values_rejected(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_json_output_to_stdout_without_out(capsys):
-    assert main(["budget"]) == 0
-    captured = capsys.readouterr()
-    payload = json.loads(captured.out)
-    assert payload["budget"]["total"] > 0.0
-    assert "total error" in captured.err
+@pytest.mark.parametrize("command", ["synth", "simulate", "sweep", "budget", "phase"])
+def test_json_output_to_stdout_without_out(tmp_path, capsys, command):
+    # stdout holds exactly what --out writes, and the summary moves to stderr
+    out = tmp_path / "artifact"
+    assert main([command, "--out", str(out)]) == 0
+    to_file = capsys.readouterr()
+    assert to_file.err == ""
+    assert main([command]) == 0
+    to_stdout = capsys.readouterr()
+    artifact = out.read_text()
+    if command == "simulate":  # the wall times differ between runs
+        artifact, stdout = json.loads(artifact), json.loads(to_stdout.out)
+        del artifact["timings_ms"], stdout["timings_ms"]
+        assert stdout == artifact
+    else:
+        assert to_stdout.out == artifact
+    if command == "sweep":  # the JSON summary names the CSV file only with --out
+        summaries = json.loads(to_file.out), json.loads(to_stdout.err)
+        assert [s.pop("csv_path") for s in summaries] == [str(out), None]
+        assert summaries[0] == summaries[1]
+    else:
+        assert to_stdout.err == to_file.out
+    if command == "budget":
+        assert json.loads(to_stdout.out)["budget"]["total"] > 0.0
+        assert "total error" in to_stdout.err
 
 
 @pytest.mark.parametrize(
