@@ -6,7 +6,10 @@ All frequencies in configs, flags, and outputs are f = omega/2pi in MHz
 config plus flag overrides; the fully resolved config is echoed in every JSON
 output, so runs are reproducible from their artifacts alone.  ``FIELDS`` is
 the one list of config keys: each entry gives a key's default, the values it
-accepts, its flag and its help text.
+accepts, its flag, its help text and the subcommands whose output reads the
+key.  Only those subcommands take the flag.  A config file has one schema
+for all five subcommands: each of them accepts, checks and echoes every key
+in it, including the keys that its output does not read.
 
 Examples:
     blockadesim synth --ratio 2
@@ -67,12 +70,20 @@ TWO_PI = 2.0 * math.pi
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
+# The subcommands, in the parser's order, and those that work at one omega_bar
+COMMANDS = ("synth", "simulate", "sweep", "budget", "phase")
+ONE_POINT = ("synth", "simulate", "budget", "phase")
+
+
 @dataclass(frozen=True)
 class Field:
-    """One config key: its default, the values it accepts and its flag.
+    """One config key: its default, the values it accepts, its flag and the
+    subcommands whose output reads it.
 
     ``kind`` is "positive", "nonzero" or "finite" for a finite number,
-    "choice" for one of ``choices``, or "bool" (flag values on/off).
+    "choice" for one of ``choices``, or "bool" (flag values on/off).  Only
+    the subcommands in ``commands`` take the flag; every subcommand accepts,
+    checks and echoes the key in a config file.
     """
 
     key: str  # dotted path into the config, e.g. "options.decay"
@@ -82,7 +93,7 @@ class Field:
     help: str
     choices: tuple = ()
     nullable: bool = False
-    sweep_only: bool = False
+    commands: tuple = COMMANDS
 
     @property
     def dest(self) -> str:
@@ -91,7 +102,9 @@ class Field:
 
 
 # The one list of config keys, in flag order.  Defaults, the file merge,
-# the flags, the checks and the echoed config all come from it.
+# the flags, the checks and the echoed config all come from it.  The sweep
+# reads neither the drive at one omega_bar nor the lifetime (its CSV has
+# both temperatures), and only simulate reads the three evolve options.
 FIELDS = (
     Field("gate", "deutsch", "choice", "--gate", "gate kind", choices=tuple(GATE_ATOMS)),
     Field("theta_rad", None, "finite", "--theta-rad",
@@ -101,29 +114,29 @@ FIELDS = (
     Field("omega0_MHz", 10.0, "positive", "--omega0-mhz",
           "control Rabi frequency /2pi, MHz"),
     Field("omega_bar_MHz", 0.54, "positive", "--omega-bar-mhz",
-          "bright-state Rabi frequency /2pi, MHz"),
-    Field("omega3_MHz", None, "positive", "--omega3-mhz",
-          "swap-pulse Rabi frequency /2pi, MHz (default omega_bar/sqrt(2))", nullable=True),
+          "bright-state Rabi frequency /2pi, MHz", commands=ONE_POINT),
+    Field("omega3_MHz", None, "positive", "--omega3-mhz", "swap-pulse Rabi frequency /2pi, "
+          "MHz (default omega_bar/sqrt(2))", nullable=True, commands=ONE_POINT),
     Field("c6_GHz_um6", -633.0, "nonzero", "--c6", "C6/2pi in GHz um^6 (signed)"),
     Field("L_um", 6.0, "positive", "--spacing-um", "lattice spacing L in um"),
     Field("temperature", "4.2K", "choice", "--temperature", "picks the Rydberg lifetime",
-          choices=tuple(sorted(TAU_BY_TEMPERATURE))),
-    Field("tau_us", None, "positive", "--tau-us",
-          "explicit Rydberg lifetime in us (overrides temperature)", nullable=True),
+          choices=tuple(sorted(TAU_BY_TEMPERATURE)), commands=ONE_POINT),
+    Field("tau_us", None, "positive", "--tau-us", "explicit Rydberg lifetime in us "
+          "(overrides temperature)", nullable=True, commands=ONE_POINT),
     Field("options.v_scale", 1.0, "positive", "--v-scale",
           "multiply the interaction strength (blockade-limit studies)"),
     Field("options.decay", "none", "choice", "--decay", "effective Rydberg decay on/off",
-          choices=("none", "effective")),
+          choices=("none", "effective"), commands=("simulate",)),
     Field("options.cc_interaction", "physical", "choice", "--cc-interaction",
-          "control-control residue shift", choices=("physical", "none")),
+          "control-control residue shift", choices=("physical", "none"), commands=("simulate",)),
     Field("options.frame_correction", True, "bool", "--frame-correction",
-          "remove the predicted residue phase before comparison"),
+          "remove the predicted residue phase before comparison", commands=("simulate",)),
     Field("sweep.step_MHz", 0.02, "finite", "--grid-step",
-          "omega_bar grid step in MHz (default 0.02)", sweep_only=True),
+          "omega_bar grid step in MHz (default 0.02)", commands=("sweep",)),
     Field("sweep.start_MHz", 0.02, "finite", "--sweep-start",
-          "first omega_bar/2pi grid value in MHz", sweep_only=True),
+          "first omega_bar/2pi grid value in MHz", commands=("sweep",)),
     Field("sweep.stop_MHz", 2.3, "finite", "--sweep-stop",
-          "last omega_bar/2pi grid value in MHz", sweep_only=True),
+          "last omega_bar/2pi grid value in MHz", commands=("sweep",)),
 )
 
 # kind -> (what the error message asks for, test on a finite number)
@@ -329,15 +342,28 @@ def _emit(artifact: str, out_path: str | None, summary: str) -> None:
         sys.stdout.write(artifact)
 
 
+def phase_matches(gate: str, drive: DriveParams, params: PhysicalParams, phi: float,
+                  n_max: int, with_phase: bool = False) -> list[dict]:
+    """The omega_bar/2pi that makes the residue phase 2 pi N, for N = 1 to
+    ``n_max``; none for a gate whose residue phase ``phi`` is 0, which has
+    nothing to match.  ``with_phase`` adds the residue phase of the sweep's
+    drive at each matched omega_bar."""
+    entries = []
+    for n in range(1, n_max + 1) if phi else ():
+        omega_bar = solve_phase_matching(n, gate, params)
+        entry = {"N": n, "omega_bar_MHz": omega_bar / TWO_PI}
+        if with_phase:
+            matched = DriveParams.from_ratio(drive.omega0, omega_bar, drive.omega2 / drive.omega1)
+            entry["phi_rad"] = residue_phase(gate, matched, params)
+        entries.append(entry)
+    return entries
+
+
 def cmd_synth(cfg: dict, drive: DriveParams, params: PhysicalParams) -> tuple[dict, str]:
     gate = cfg["gate"]
     schedule = gate_functions(gate)[0](drive)
     phi = residue_phase(gate, drive, params)
-    # a gate without a residue phase has nothing to match
-    matches = [
-        {"N": n, "omega_bar_MHz": solve_phase_matching(n, gate, params) / TWO_PI}
-        for n in (range(1, 7) if phi else ())
-    ]
+    matches = phase_matches(gate, drive, params, phi, 6)
 
     segments = [
         {
@@ -456,18 +482,7 @@ def cmd_budget(cfg: dict, drive: DriveParams, params: PhysicalParams) -> tuple[d
 def cmd_phase(cfg: dict, drive: DriveParams, params: PhysicalParams) -> tuple[dict, str]:
     gate = cfg["gate"]
     phi = residue_phase(gate, drive, params)
-    solutions = []
-    for n in range(1, 9) if phi else ():
-        omega_bar = solve_phase_matching(n, gate, params)
-        # the sweep's drive at the matched omega_bar
-        matched = DriveParams.from_ratio(drive.omega0, omega_bar, drive.omega2 / drive.omega1)
-        solutions.append(
-            {
-                "N": n,
-                "omega_bar_MHz": omega_bar / TWO_PI,
-                "phi_rad": residue_phase(gate, matched, params),
-            }
-        )
+    solutions = phase_matches(gate, drive, params, phi, 8, with_phase=True)
     body = {"phi_rad": phi, "phi_over_pi": phi / math.pi, "matched_solutions": solutions}
     return body, (f"phi = {phi:.6f} rad ({phi / math.pi:.4f} pi) "
                   f"at omega_bar/2pi = {cfg['omega_bar_MHz']} MHz")
@@ -534,7 +549,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--out", help="write the primary artifact to this path")
         for field in FIELDS:
-            if field.sweep_only and command != "sweep":
+            if command not in field.commands:
                 continue
             if field.kind == "bool":
                 accepts = {"choices": ("on", "off")}

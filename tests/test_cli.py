@@ -404,14 +404,15 @@ def test_sweep_grid_step_flag(tmp_path):
 def test_sweep_rejects_omega3(tmp_path, capsys):
     # the sweep sets omega3 = omega_bar/sqrt(2) at every grid point
     out = tmp_path / "sweep.csv"
-    assert main(["sweep", "--omega3-mhz", "0.05", "--out", str(out)]) == 1
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"omega3_MHz": 0.05}))
+    assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and not out.exists()
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: omega3_MHz must be null for sweep")
     assert "omega_bar/sqrt(2)" in lines[0]
     # a null value runs, and gives the default sweep
-    cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"omega3_MHz": None}))
     nulled = tmp_path / "nulled.csv"
     assert main(["sweep", "--config", str(cfg_path), "--out", str(nulled)]) == 0
@@ -654,43 +655,146 @@ def test_arithmetic_failure_gives_one_error_line(tmp_path, capsys, argv, cfg):
 # the surface: flags and config keys
 # ---------------------------------------------------------------------------
 
-COMMON_OPTIONS = [
-    (("-h", "--help"), None, None),
-    (("--config",), None, None),
-    (("--out",), None, None),
-    (("--gate",), ("deutsch", "toffoli", "cnot"), None),
-    (("--theta-rad",), None, float),
-    (("--ratio",), None, float),
-    (("--omega0-mhz",), None, float),
-    (("--omega-bar-mhz",), None, float),
-    (("--omega3-mhz",), None, float),
-    (("--c6",), None, float),
-    (("--spacing-um",), None, float),
-    (("--temperature",), ("300K", "4.2K"), None),
-    (("--tau-us",), None, float),
-    (("--v-scale",), None, float),
-    (("--decay",), ("none", "effective"), None),
-    (("--cc-interaction",), ("physical", "none"), None),
-    (("--frame-correction",), ("on", "off"), None),
-]
-SWEEP_OPTIONS = [
-    (("--grid-step",), None, float),
-    (("--sweep-start",), None, float),
-    (("--sweep-stop",), None, float),
-]
+# Each flag's choices and type, in the parser's order
+FLAG_ACCEPTS = {
+    "--gate": (("deutsch", "toffoli", "cnot"), None),
+    "--theta-rad": (None, float),
+    "--ratio": (None, float),
+    "--omega0-mhz": (None, float),
+    "--omega-bar-mhz": (None, float),
+    "--omega3-mhz": (None, float),
+    "--c6": (None, float),
+    "--spacing-um": (None, float),
+    "--temperature": (("300K", "4.2K"), None),
+    "--tau-us": (None, float),
+    "--v-scale": (None, float),
+    "--decay": (("none", "effective"), None),
+    "--cc-interaction": (("physical", "none"), None),
+    "--frame-correction": (("on", "off"), None),
+    "--grid-step": (None, float),
+    "--sweep-start": (None, float),
+    "--sweep-stop": (None, float),
+}
+# The flags of each subcommand: those whose config key its output reads
+ONE_POINT_FLAGS = ["--gate", "--theta-rad", "--ratio", "--omega0-mhz", "--omega-bar-mhz",
+                   "--omega3-mhz", "--c6", "--spacing-um", "--temperature", "--tau-us",
+                   "--v-scale"]
+SUBCOMMAND_FLAGS = {
+    "synth": ONE_POINT_FLAGS,
+    "simulate": ONE_POINT_FLAGS + ["--decay", "--cc-interaction", "--frame-correction"],
+    "sweep": ["--gate", "--theta-rad", "--ratio", "--omega0-mhz", "--c6", "--spacing-um",
+              "--v-scale", "--grid-step", "--sweep-start", "--sweep-stop"],
+    "budget": ONE_POINT_FLAGS,
+    "phase": ONE_POINT_FLAGS,
+}
+# One valid non-default value of each flag
+FLAG_VALUES = {
+    "--gate": "toffoli",
+    "--theta-rad": "1.0",
+    "--ratio": "1.5",
+    "--omega0-mhz": "12",
+    "--omega-bar-mhz": "0.32",
+    "--omega3-mhz": "0.5",
+    "--c6": "-500",
+    "--spacing-um": "5",
+    "--temperature": "300K",
+    "--tau-us": "500",
+    "--v-scale": "2",
+    "--decay": "effective",
+    "--cc-interaction": "none",
+    "--frame-correction": "off",
+    "--grid-step": "0.1",
+    "--sweep-start": "0.1",
+    "--sweep-stop": "1.0",
+}
+
+
+def _subparsers():
+    return next(action for action in build_parser()._actions if action.choices).choices
 
 
 def test_each_subcommand_keeps_its_flags():
-    subparsers = next(
-        action for action in build_parser()._actions if action.choices
-    ).choices
+    subparsers = _subparsers()
     assert list(subparsers) == ["synth", "simulate", "sweep", "budget", "phase"]
+    head = [(("-h", "--help"), None, None), (("--config",), None, None), (("--out",), None, None)]
     for name, parser in subparsers.items():
         options = [
             (tuple(a.option_strings), tuple(a.choices) if a.choices else None, a.type)
             for a in parser._actions
         ]
-        assert options == COMMON_OPTIONS + (SWEEP_OPTIONS if name == "sweep" else []), name
+        flags = [((flag,), *FLAG_ACCEPTS[flag]) for flag in SUBCOMMAND_FLAGS[name]]
+        assert options == head + flags, name
+
+
+def _artifact(tmp_path, capsys, argv):
+    """Exit code, stderr lines and the artifact of one run: the JSON without
+    its config (and simulate's wall times), or the sweep's CSV with its JSON
+    summary, also without its config."""
+    out = tmp_path / "artifact"
+    code = main(argv + ["--out", str(out)])
+    captured = capsys.readouterr()
+    if code != 0:
+        return code, captured.err.splitlines(), None
+    if argv[0] == "sweep":
+        summary = json.loads(captured.out)
+        del summary["config"]
+        return code, [], (out.read_text(), summary)
+    payload = json.loads(out.read_text())
+    del payload["config"]
+    payload.pop("timings_ms", None)
+    return code, [], payload
+
+
+@pytest.mark.parametrize(
+    "command,flag",
+    [
+        (name, action.option_strings[-1])
+        for name, parser in _subparsers().items()
+        for action in parser._actions
+        if action.option_strings[-1] not in ("--help", "--config", "--out")
+    ],
+)
+def test_every_flag_changes_the_artifact(tmp_path, capsys, command, flag):
+    # a flag that the subcommand took and then ignored would be a silent
+    # nonsense result: the run must move the artifact or fail with one line
+    code, _, default = _artifact(tmp_path, capsys, [command])
+    assert code == 0
+    code, err, changed = _artifact(tmp_path, capsys, [command, f"{flag}={FLAG_VALUES[flag]}"])
+    if code == 1:
+        assert len(err) == 1 and err[0].startswith("error:"), err
+    else:
+        assert code == 0 and changed != default
+
+
+@pytest.mark.parametrize(
+    "command,flag",
+    [(name, flag) for name, flags in SUBCOMMAND_FLAGS.items()
+     for flag in FLAG_ACCEPTS if flag not in flags],
+)
+def test_removed_flag_is_unrecognized_but_its_key_is_echoed(tmp_path, capsys, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([command, f"{flag}={FLAG_VALUES[flag]}"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}=" in capsys.readouterr().err
+    # the config key is still accepted, checked and echoed
+    field = next(f for f in FIELDS if f.flag == flag)
+    value = FLAG_VALUES[flag]
+    if field.kind == "bool":
+        value = value == "on"
+    elif field.kind != "choice":
+        value = float(value)
+    section, _, name = field.key.rpartition(".")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({section: {name: value}} if section else {name: value}))
+    out = tmp_path / "artifact"
+    code = main([command, "--config", str(cfg_path), "--out", str(out)])
+    captured = capsys.readouterr()
+    if field.key == "omega3_MHz":  # the sweep sets omega3 at each grid point
+        assert code == 1 and captured.err.startswith("error: omega3_MHz must be null")
+        return
+    assert code == 0
+    echoed = json.loads(captured.out if command == "sweep" else out.read_text())["config"]
+    assert (echoed[section] if section else echoed)[name] == value
 
 
 def test_example_config_names_every_key_and_echoes_the_defaults(tmp_path):
