@@ -7,9 +7,11 @@ config plus flag overrides; the fully resolved config is echoed in every JSON
 output, so runs are reproducible from their artifacts alone.  ``FIELDS`` is
 the one list of config keys: each entry gives a key's default, the values it
 accepts, its flag, its help text and the subcommands whose output reads the
-key.  Only those subcommands take the flag.  A config file has one schema
-for all five subcommands: each of them accepts, checks and echoes every key
-in it, including the keys that its output does not read.
+key.  Only those subcommands take the flag, so each flag that a subcommand
+takes moves the body of its artifact, not only the echoed config and the
+derived block.  A config file has one schema for all five subcommands: each
+of them accepts, checks and echoes every key in it, including the keys that
+its output does not read.
 
 Examples:
     blockadesim synth --ratio 2
@@ -70,9 +72,12 @@ TWO_PI = 2.0 * math.pi
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-# The subcommands, in the parser's order, and those that work at one omega_bar
+# The subcommands, in the parser's order; those that work at one omega_bar;
+# those that read the control Rabi frequency; those that read the lifetime
 COMMANDS = ("synth", "simulate", "sweep", "budget", "phase")
 ONE_POINT = ("synth", "simulate", "budget", "phase")
+READS_OMEGA0 = ("synth", "simulate", "sweep", "budget")
+READS_LIFETIME = ("simulate", "budget")
 
 
 @dataclass(frozen=True)
@@ -104,7 +109,10 @@ class Field:
 # The one list of config keys, in flag order.  Defaults, the file merge,
 # the flags, the checks and the echoed config all come from it.  The sweep
 # reads neither the drive at one omega_bar nor the lifetime (its CSV has
-# both temperatures), and only simulate reads the three evolve options.
+# both temperatures).  synth and phase do not read the lifetime either, nor
+# does phase read omega0: the residue phase builds up only between the two
+# control pulses, and phase matching solves for omega_bar alone.  Only
+# simulate reads the three evolve options.
 FIELDS = (
     Field("gate", "deutsch", "choice", "--gate", "gate kind", choices=tuple(GATE_ATOMS)),
     Field("theta_rad", None, "finite", "--theta-rad",
@@ -112,7 +120,7 @@ FIELDS = (
     Field("ratio_omega2_over_omega1", None, "positive", "--ratio",
           "omega2/omega1 ratio (alternative to --theta-rad)", nullable=True),
     Field("omega0_MHz", 10.0, "positive", "--omega0-mhz",
-          "control Rabi frequency /2pi, MHz"),
+          "control Rabi frequency /2pi, MHz", commands=READS_OMEGA0),
     Field("omega_bar_MHz", 0.54, "positive", "--omega-bar-mhz",
           "bright-state Rabi frequency /2pi, MHz", commands=ONE_POINT),
     Field("omega3_MHz", None, "positive", "--omega3-mhz", "swap-pulse Rabi frequency /2pi, "
@@ -120,9 +128,9 @@ FIELDS = (
     Field("c6_GHz_um6", -633.0, "nonzero", "--c6", "C6/2pi in GHz um^6 (signed)"),
     Field("L_um", 6.0, "positive", "--spacing-um", "lattice spacing L in um"),
     Field("temperature", "4.2K", "choice", "--temperature", "picks the Rydberg lifetime",
-          choices=tuple(sorted(TAU_BY_TEMPERATURE)), commands=ONE_POINT),
+          choices=tuple(sorted(TAU_BY_TEMPERATURE)), commands=READS_LIFETIME),
     Field("tau_us", None, "positive", "--tau-us", "explicit Rydberg lifetime in us "
-          "(overrides temperature)", nullable=True, commands=ONE_POINT),
+          "(overrides temperature)", nullable=True, commands=READS_LIFETIME),
     Field("options.v_scale", 1.0, "positive", "--v-scale",
           "multiply the interaction strength (blockade-limit studies)"),
     Field("options.decay", "none", "choice", "--decay", "effective Rydberg decay on/off",
@@ -194,7 +202,7 @@ def _merge_file(cfg: dict, file_cfg: dict) -> None:
 
 def resolve_config(args: argparse.Namespace) -> dict:
     """Defaults <- config file <- flags, each value checked against its
-    field, then the theta/ratio rule."""
+    field.  ``build_drive`` then applies the angle rule."""
     cfg = _default_config()
     if args.config:
         _merge_file(cfg, _load_config_file(args.config))
@@ -206,7 +214,6 @@ def resolve_config(args: argparse.Namespace) -> dict:
     for field in FIELDS:
         node, name = _slot(cfg, field.key)
         _check(field, node[name])
-    _resolve_theta_ratio(cfg)
     return cfg
 
 
@@ -236,27 +243,6 @@ def _check(field: Field, value) -> None:
         raise ConfigError(f"{field.key} must be {wanted}, got {value!r}")
 
 
-def _resolve_theta_ratio(cfg: dict) -> None:
-    """Exactly one of theta and ratio for the deutsch gate (ratio 2 when
-    neither is given), neither for the others."""
-    theta, ratio = cfg["theta_rad"], cfg["ratio_omega2_over_omega1"]
-    if cfg["gate"] != "deutsch":
-        if theta is not None or ratio is not None:
-            raise ConfigError("theta_rad / ratio apply to the deutsch gate only")
-    elif theta is not None and ratio is not None:
-        raise ConfigError("supply exactly one of theta_rad / ratio for the deutsch gate")
-    elif theta is not None:
-        if not 0.0 <= theta <= math.pi:
-            raise ConfigError(f"theta_rad must lie in [0, pi], got {theta}")
-    elif ratio is None:
-        cfg["ratio_omega2_over_omega1"] = 2.0
-    elif not RATIO_MIN <= ratio <= RATIO_MAX:
-        raise ConfigError(
-            "ratio_omega2_over_omega1 must lie on the tunable branch "
-            f"[sqrt(2) - 1, sqrt(2) + 1], got {ratio}"
-        )
-
-
 def resolve_tau(cfg: dict) -> float:
     if cfg["tau_us"] is not None:
         return float(cfg["tau_us"])
@@ -264,14 +250,32 @@ def resolve_tau(cfg: dict) -> float:
 
 
 def build_drive(cfg: dict) -> DriveParams:
+    """The drive of a checked config, after the angle rule: the deutsch gate
+    takes exactly one of theta and ratio (ratio 2, written back for the
+    echo, when neither is given); the others take neither, and their unused
+    ratio is 1."""
+    theta, ratio = cfg["theta_rad"], cfg["ratio_omega2_over_omega1"]
+    if cfg["gate"] != "deutsch":
+        if theta is not None or ratio is not None:
+            raise ConfigError("theta_rad / ratio apply to the deutsch gate only")
+        ratio = 1.0  # toffoli/cnot never touch the ratio pulses
+    elif theta is not None and ratio is not None:
+        raise ConfigError("supply exactly one of theta_rad / ratio for the deutsch gate")
+    elif theta is not None:
+        if not 0.0 <= theta <= math.pi:
+            raise ConfigError(f"theta_rad must lie in [0, pi], got {theta}")
+    elif ratio is None:
+        ratio = cfg["ratio_omega2_over_omega1"] = 2.0
+    elif not RATIO_MIN <= ratio <= RATIO_MAX:
+        raise ConfigError(
+            "ratio_omega2_over_omega1 must lie on the tunable branch "
+            f"[sqrt(2) - 1, sqrt(2) + 1], got {ratio}"
+        )
     omega0 = TWO_PI * cfg["omega0_MHz"]
     omega_bar = TWO_PI * cfg["omega_bar_MHz"]
     omega3 = TWO_PI * cfg["omega3_MHz"] if cfg["omega3_MHz"] is not None else None
-    if cfg["theta_rad"] is not None:  # deutsch only, see _resolve_theta_ratio
-        return DriveParams.from_theta(omega0, omega_bar, cfg["theta_rad"], omega3)
-    ratio = cfg["ratio_omega2_over_omega1"]
-    if ratio is None:
-        ratio = 1.0  # toffoli/cnot never touch the ratio pulses
+    if theta is not None:
+        return DriveParams.from_theta(omega0, omega_bar, theta, omega3)
     return DriveParams.from_ratio(omega0, omega_bar, ratio, omega3)
 
 
@@ -513,7 +517,7 @@ def cmd_sweep(cfg: dict, drive: DriveParams, params: PhysicalParams) -> tuple[st
         start_mhz=grid["start_MHz"],
         stop_mhz=grid["stop_MHz"],
         step_mhz=grid["step_MHz"],
-        omega0=TWO_PI * cfg["omega0_MHz"],
+        omega0=drive.omega0,
         ratio=drive.omega2 / drive.omega1,
         gate=cfg["gate"],
     )

@@ -9,37 +9,33 @@ if TYPE_CHECKING:
     import numpy as np
 
 
+def _swap_block(dim: int, diagonal: complex, off_diagonal: complex) -> np.ndarray:
+    """The identity of size ``dim`` with the 2x2 block [[diagonal,
+    off_diagonal], [off_diagonal, diagonal]] on its last two states."""
+    import numpy as np
+
+    gate = np.eye(dim, dtype=complex)
+    gate[-2, -2] = gate[-1, -1] = diagonal
+    gate[-2, -1] = gate[-1, -2] = off_diagonal
+    return gate
+
+
 def deutsch_ideal(theta: float) -> np.ndarray:
     """8x8 gate: identity on the first six states, the 2x2 block
     [[i cos(theta), sin(theta)], [sin(theta), i cos(theta)]] on |110>, |111>."""
-    import numpy as np
-
     if not 0.0 <= theta <= math.pi:
         raise ValueError(f"theta must lie in [0, pi], got {theta}")
-    gate = np.eye(8, dtype=complex)
-    gate[6, 6] = gate[7, 7] = 1j * math.cos(theta)
-    gate[6, 7] = gate[7, 6] = math.sin(theta)
-    return gate
+    return _swap_block(8, 1j * math.cos(theta), math.sin(theta))
 
 
 def toffoli_ideal() -> np.ndarray:
     """Controlled-controlled-NOT: swaps |110> and |111>."""
-    import numpy as np
-
-    gate = np.eye(8, dtype=complex)
-    gate[6, 6] = gate[7, 7] = 0.0
-    gate[6, 7] = gate[7, 6] = 1.0
-    return gate
+    return _swap_block(8, 0.0, 1.0)
 
 
 def cnot_ideal() -> np.ndarray:
     """Controlled-NOT: swaps |10> and |11>."""
-    import numpy as np
-
-    gate = np.eye(4, dtype=complex)
-    gate[2, 2] = gate[3, 3] = 0.0
-    gate[2, 3] = gate[3, 2] = 1.0
-    return gate
+    return _swap_block(4, 0.0, 1.0)
 
 
 def gate_fidelity(u_sim: np.ndarray, u_ideal: np.ndarray, mode: str = "state_average") -> float:

@@ -198,10 +198,9 @@ class GateSchedule:
 
     @property
     def interior_duration(self) -> float:
-        """Duration between the end of the first and start of the last segment."""
-        if len(self.segments) < 3:
-            return 0.0
-        return sum(seg.duration for seg in self.segments[1:-1])
+        """Duration between the end of the first and start of the last
+        segment; 0.0 for fewer than three segments."""
+        return sum((seg.duration for seg in self.segments[1:-1]), 0.0)
 
 
 def segment_hamiltonian(

@@ -522,6 +522,13 @@ def test_unknown_section_key_rejected(tmp_path, capsys, cfg):
         ({"tau_us": -1}, "tau_us must be a positive number or null"),
         ({"temperature": "77K"}, "temperature must be one of"),
         ({"theta_rad": 3.5}, "theta_rad must lie in [0, pi]"),
+        # a field error comes before the angle rule's
+        ({"theta_rad": 1.0, "ratio_omega2_over_omega1": 2.0, "omega_bar_MHz": 0},
+         "omega_bar_MHz must be a positive number, got 0"),
+        ({"gate": "cnot", "theta_rad": 1.0, "tau_us": -1},
+         "tau_us must be a positive number or null, got -1"),
+        ({"ratio_omega2_over_omega1": 5, "sweep": {"step_MHz": None}},
+         "sweep.step_MHz must be a number, got None"),
     ],
 )
 def test_rejection_names_the_key(tmp_path, capsys, cfg, message):
@@ -675,17 +682,19 @@ FLAG_ACCEPTS = {
     "--sweep-start": (None, float),
     "--sweep-stop": (None, float),
 }
-# The flags of each subcommand: those whose config key its output reads
+# The flags of each subcommand: those whose config key its output reads.
+# Only simulate and budget read the lifetime, and phase does not read omega0.
 ONE_POINT_FLAGS = ["--gate", "--theta-rad", "--ratio", "--omega0-mhz", "--omega-bar-mhz",
                    "--omega3-mhz", "--c6", "--spacing-um", "--temperature", "--tau-us",
                    "--v-scale"]
+NO_LIFETIME_FLAGS = [flag for flag in ONE_POINT_FLAGS if flag not in ("--temperature", "--tau-us")]
 SUBCOMMAND_FLAGS = {
-    "synth": ONE_POINT_FLAGS,
+    "synth": NO_LIFETIME_FLAGS,
     "simulate": ONE_POINT_FLAGS + ["--decay", "--cc-interaction", "--frame-correction"],
     "sweep": ["--gate", "--theta-rad", "--ratio", "--omega0-mhz", "--c6", "--spacing-um",
               "--v-scale", "--grid-step", "--sweep-start", "--sweep-stop"],
     "budget": ONE_POINT_FLAGS,
-    "phase": ONE_POINT_FLAGS,
+    "phase": [flag for flag in NO_LIFETIME_FLAGS if flag != "--omega0-mhz"],
 }
 # One valid non-default value of each flag
 FLAG_VALUES = {
@@ -726,10 +735,10 @@ def test_each_subcommand_keeps_its_flags():
         assert options == head + flags, name
 
 
-def _artifact(tmp_path, capsys, argv):
-    """Exit code, stderr lines and the artifact of one run: the JSON without
-    its config (and simulate's wall times), or the sweep's CSV with its JSON
-    summary, also without its config."""
+def _body(tmp_path, capsys, argv):
+    """Exit code, stderr lines and the body of one run's artifact: the JSON
+    without its config, its derived block and simulate's wall times, or the
+    sweep's CSV with its JSON summary, also without its config."""
     out = tmp_path / "artifact"
     code = main(argv + ["--out", str(out)])
     captured = capsys.readouterr()
@@ -740,7 +749,7 @@ def _artifact(tmp_path, capsys, argv):
         del summary["config"]
         return code, [], (out.read_text(), summary)
     payload = json.loads(out.read_text())
-    del payload["config"]
+    del payload["config"], payload["derived"]
     payload.pop("timings_ms", None)
     return code, [], payload
 
@@ -756,10 +765,17 @@ def _artifact(tmp_path, capsys, argv):
 )
 def test_every_flag_changes_the_artifact(tmp_path, capsys, command, flag):
     # a flag that the subcommand took and then ignored would be a silent
-    # nonsense result: the run must move the artifact or fail with one line
-    code, _, default = _artifact(tmp_path, capsys, [command])
+    # nonsense result: the run must move the body of the artifact, not only
+    # its config and derived echoes, or fail with one line.  phase --theta-rad
+    # and --ratio move the body only in the last digits of each matched
+    # phi_rad, since the matched drive rebuilds omega_bar as
+    # hypot(omega1, omega2); the exact comparison counts that.
+    base = [command]
+    if command == "simulate" and flag in ("--temperature", "--tau-us"):
+        base.append("--decay=effective")  # the only setting that reads the lifetime
+    code, _, default = _body(tmp_path, capsys, base)
     assert code == 0
-    code, err, changed = _artifact(tmp_path, capsys, [command, f"{flag}={FLAG_VALUES[flag]}"])
+    code, err, changed = _body(tmp_path, capsys, base + [f"{flag}={FLAG_VALUES[flag]}"])
     if code == 1:
         assert len(err) == 1 and err[0].startswith("error:"), err
     else:
