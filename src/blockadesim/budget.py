@@ -11,7 +11,7 @@ are given.  All formulas are closed-form, so sweeps are instantaneous.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .model import PhysicalParams, computational_labels
 from .schedule import (
@@ -229,16 +229,11 @@ def sweep(
     """
     points = []
     for f_mhz in sweep_grid(start_mhz, stop_mhz, step_mhz):
-        omega_bar = TWO_PI * f_mhz
-        drive = DriveParams.from_ratio(omega0, omega_bar, ratio)
-        points.append(
-            SweepPoint(
-                omega_bar_mhz=f_mhz,
-                drive=drive,
-                budget_4k=error_budget(drive, params, TAU_BY_TEMPERATURE["4.2K"], gate),
-                budget_300k=error_budget(drive, params, TAU_BY_TEMPERATURE["300K"], gate),
-            )
-        )
+        drive = DriveParams.from_ratio(omega0, TWO_PI * f_mhz, ratio)
+        cold = error_budget(drive, params, TAU_BY_TEMPERATURE["4.2K"], gate)
+        # only the decay row reads the lifetime
+        warm = replace(cold, decay=_decay(cold.mean_rydberg_time_us, TAU_BY_TEMPERATURE["300K"]))
+        points.append(SweepPoint(f_mhz, drive, cold, warm))
     return points
 
 

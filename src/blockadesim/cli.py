@@ -11,7 +11,11 @@ key.  Only those subcommands take the flag, so each flag that a subcommand
 takes moves the body of its artifact, not only the echoed config and the
 derived block.  A config file has one schema for all five subcommands: each
 of them accepts, checks and echoes every key in it, including the keys that
-its output does not read.
+its output does not read.  The resolved config is one flat table keyed by the
+fields' dotted keys (``cfg["options.decay"]``); it is nested by section only
+in the config file and in the echo.  ``simulate`` reads the lifetime only
+under ``options.decay: effective``, so it rejects ``--temperature`` and
+``--tau-us`` without it.
 
 Examples:
     blockadesim synth --ratio 2
@@ -25,11 +29,12 @@ file and the human-readable summary to stdout; without --out the artifact
 goes to stdout and the summary to stderr.
 
 The request envelope is built once, in ``main``: it resolves the config and
-builds the drive and the register, then the ``{"config", "derived"}`` head of
-a JSON artifact before the command runs.  Each ``cmd_*`` function maps the
-resolved request ``(cfg, drive, params)`` to its artifact body and summary
-and writes nothing; ``cmd_sweep`` returns the CSV and the rows and argmins
-of its JSON summary.  ``main`` then writes the output with one ``_emit``.
+builds the drive and the register, which carries the lifetime and the scaled
+C6, then the ``{"config", "derived"}`` head of a JSON artifact before the
+command runs.  Each ``cmd_*`` function maps the resolved request ``(cfg,
+drive, params)`` to its artifact body and summary and writes nothing;
+``cmd_sweep`` returns the CSV and the rows and argmins of its JSON summary.
+``main`` then writes the output with one ``_emit``.
 """
 
 from __future__ import annotations
@@ -147,6 +152,9 @@ FIELDS = (
           "last omega_bar/2pi grid value in MHz", commands=("sweep",)),
 )
 
+# The config file's sections: each holds the keys "<section>.<name>"
+SECTIONS = {field.key.partition(".")[0] for field in FIELDS if "." in field.key}
+
 # kind -> (what the error message asks for, test on a finite number)
 _NUMBER_KINDS = {
     "positive": ("a positive number", lambda v: v > 0),
@@ -159,25 +167,13 @@ class ConfigError(ValueError):
     """Invalid or inconsistent run configuration."""
 
 
-def _slot(cfg: dict, key: str) -> tuple[dict, str]:
-    """The dict that holds a dotted key, and the key's last part."""
-    section, _, name = key.rpartition(".")
-    return (cfg[section] if section else cfg), name
-
-
-def _default_config() -> dict:
-    cfg: dict = {}
-    for field in FIELDS:
-        section, _, name = field.key.rpartition(".")
-        (cfg.setdefault(section, {}) if section else cfg)[name] = field.default
-    return cfg
-
-
 def _load_config_file(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    # ValueError also covers bad UTF-8 and an int past the digit limit, and
+    # a deeply nested file exhausts the parser's recursion
+    except (OSError, ValueError, RecursionError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"config {path} must contain a JSON object")
@@ -185,36 +181,52 @@ def _load_config_file(path: str) -> dict:
 
 
 def _merge_file(cfg: dict, file_cfg: dict) -> None:
+    """Merge a config file into the flat ``cfg``: each section's object
+    flattens to its dotted keys; a dotted key outside its section is
+    unknown."""
     for key, value in file_cfg.items():
-        section = cfg.get(key)
-        if isinstance(section, dict):
+        if key in SECTIONS:
             if not isinstance(value, dict):
                 raise ConfigError(f"config {key!r} must be an object")
-            for name, item in value.items():
-                if name not in section:
-                    raise ConfigError(f"unknown config key {f'{key}.{name}'!r}")
-                section[name] = item
-        elif key in cfg:
-            cfg[key] = value
-        else:
+            items = {f"{key}.{name}": item for name, item in value.items()}
+        elif "." not in key:
+            items = {key: value}
+        else:  # a section's key belongs inside the section's object
             raise ConfigError(f"unknown config key {key!r}")
+        for dotted, item in items.items():
+            if dotted not in cfg:
+                raise ConfigError(f"unknown config key {dotted!r}")
+            cfg[dotted] = item
 
 
 def resolve_config(args: argparse.Namespace) -> dict:
     """Defaults <- config file <- flags, each value checked against its
-    field.  ``build_drive`` then applies the angle rule."""
-    cfg = _default_config()
+    field, in one flat dict keyed by the fields' dotted keys.
+    ``build_drive`` then applies the angle rule."""
+    cfg = {field.key: field.default for field in FIELDS}
     if args.config:
         _merge_file(cfg, _load_config_file(args.config))
     for field in FIELDS:
         value = getattr(args, field.dest, None)
         if value is not None:
-            node, name = _slot(cfg, field.key)
-            node[name] = value == "on" if field.kind == "bool" else value
-    for field in FIELDS:
-        node, name = _slot(cfg, field.key)
-        _check(field, node[name])
+            cfg[field.key] = value == "on" if field.kind == "bool" else value
+        _check(field, cfg[field.key])
+    # simulate reads the lifetime only under effective decay, so without it
+    # a lifetime flag would change nothing; the config keys stay accepted
+    if args.command == "simulate" and cfg["options.decay"] != "effective":
+        for field in FIELDS:
+            if field.key in ("temperature", "tau_us") and getattr(args, field.dest) is not None:
+                raise ConfigError(f"simulate reads {field.flag} only with --decay effective")
     return cfg
+
+
+def _nested(cfg: dict) -> dict:
+    """The flat config nested by section, as a config file writes it."""
+    nested: dict = {}
+    for key, value in cfg.items():
+        section, _, name = key.rpartition(".")
+        (nested.setdefault(section, {}) if section else nested)[name] = value
+    return nested
 
 
 def _is_finite_number(value) -> bool:
@@ -241,12 +253,6 @@ def _check(field: Field, value) -> None:
     if not ok:
         wanted += " or null" if field.nullable else ""
         raise ConfigError(f"{field.key} must be {wanted}, got {value!r}")
-
-
-def resolve_tau(cfg: dict) -> float:
-    if cfg["tau_us"] is not None:
-        return float(cfg["tau_us"])
-    return TAU_BY_TEMPERATURE[cfg["temperature"]]
 
 
 def build_drive(cfg: dict) -> DriveParams:
@@ -280,17 +286,15 @@ def build_drive(cfg: dict) -> DriveParams:
 
 
 def build_params(cfg: dict) -> PhysicalParams:
-    """The register of the configured gate."""
-    params = PhysicalParams(
-        c6_over_2pi=cfg["c6_GHz_um6"],
+    """The register of the configured gate: C6 times ``options.v_scale``,
+    and the lifetime ``tau_us`` or, when that is null, the temperature's."""
+    tau = cfg["tau_us"]
+    return PhysicalParams(
+        c6_over_2pi=cfg["c6_GHz_um6"] * cfg["options.v_scale"],
         spacing=cfg["L_um"],
-        lifetime=resolve_tau(cfg),
+        lifetime=float(tau) if tau is not None else TAU_BY_TEMPERATURE[cfg["temperature"]],
         n_atoms=GATE_ATOMS[cfg["gate"]],
     )
-    v_scale = cfg["options"]["v_scale"]
-    if v_scale != 1.0:
-        params = params.with_interaction_scaled(v_scale)
-    return params
 
 
 def gate_functions(gate: str):
@@ -318,7 +322,7 @@ def derived_block(cfg: dict, drive: DriveParams, params: PhysicalParams) -> dict
         "omega_bar_MHz": drive.omega_bar / TWO_PI,
         "blockade_V_MHz": params.blockade / TWO_PI,
         "control_residue_MHz": params.control_residue / TWO_PI,
-        "tau_us": resolve_tau(cfg),
+        "tau_us": params.lifetime,
         "gate_time_us": sum(segment_durations(cfg["gate"], drive)),
     }
 
@@ -428,11 +432,10 @@ def cmd_simulate(cfg: dict, drive: DriveParams, params: PhysicalParams) -> tuple
     start = time.perf_counter()
     build_schedule, ideal_gate = gate_functions(cfg["gate"])
     schedule = build_schedule(drive)
-    opts = cfg["options"]
     options = SimulationOptions(
-        decay_tau=resolve_tau(cfg) if opts["decay"] == "effective" else None,
-        cc_interaction=opts["cc_interaction"],
-        frame_correction=opts["frame_correction"],
+        decay_tau=params.lifetime if cfg["options.decay"] == "effective" else None,
+        cc_interaction=cfg["options.cc_interaction"],
+        frame_correction=cfg["options.frame_correction"],
     )
     built = time.perf_counter()
     result = evolve(schedule, params, options)
@@ -468,7 +471,7 @@ def cmd_simulate(cfg: dict, drive: DriveParams, params: PhysicalParams) -> tuple
 
 
 def cmd_budget(cfg: dict, drive: DriveParams, params: PhysicalParams) -> tuple[dict, str]:
-    tau = resolve_tau(cfg)
+    tau = params.lifetime
     b = error_budget(drive, params, tau, cfg["gate"])
     body = {
         "temperature": cfg["temperature"] if cfg["tau_us"] is None else None,
@@ -511,12 +514,11 @@ def cmd_sweep(cfg: dict, drive: DriveParams, params: PhysicalParams) -> tuple[st
     if cfg["omega3_MHz"] is not None:
         raise ConfigError("omega3_MHz must be null for sweep, which sets "
                           "omega3 = omega_bar/sqrt(2) at every grid point")
-    grid = cfg["sweep"]
     points = sweep(
         params,
-        start_mhz=grid["start_MHz"],
-        stop_mhz=grid["stop_MHz"],
-        step_mhz=grid["step_MHz"],
+        start_mhz=cfg["sweep.start_MHz"],
+        stop_mhz=cfg["sweep.stop_MHz"],
+        step_mhz=cfg["sweep.step_MHz"],
         omega0=drive.omega0,
         ratio=drive.omega2 / drive.omega1,
         gate=cfg["gate"],
@@ -573,10 +575,10 @@ def main(argv=None) -> int:
         params = build_params(cfg)
         if args.command == "sweep":  # the CSV, with a JSON summary
             artifact, rows = args.run(cfg, drive, params)
-            summary = _json_text({"config": cfg, **rows, "csv_path": args.out})
+            summary = _json_text({"config": _nested(cfg), **rows, "csv_path": args.out})
         else:
             # the head first, so that its errors come before the command's
-            head = {"config": cfg, "derived": derived_block(cfg, drive, params)}
+            head = {"config": _nested(cfg), "derived": derived_block(cfg, drive, params)}
             body, summary = args.run(cfg, drive, params)
             artifact = _json_text({**head, **body}) + "\n"
         _emit(artifact, args.out, summary)

@@ -515,6 +515,45 @@ def test_unknown_section_key_rejected(tmp_path, capsys, cfg):
 
 
 @pytest.mark.parametrize(
+    "command,content",
+    [
+        ("budget", b"[" * 100_000 + b"]" * 100_000),
+        ("simulate", b'{"options": ' + b'{"a": ' * 50_000 + b"1" + b"}" * 50_001),
+        ("synth", b'{"omega0_MHz": \xff}'),
+        ("budget", b'{"tau_us": 1' + b"0" * 5000 + b"}"),
+    ],
+    ids=["deep_list", "deep_options", "bad_utf8", "long_int"],
+)
+def test_unreadable_config_names_the_file(tmp_path, capsys, command, content):
+    # deep nesting exhausts the parser's recursion; bad UTF-8 and an int past
+    # the digit limit fail while decoding
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_bytes(content)
+    assert main([command, "--config", str(cfg_path)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: cannot read config {cfg_path}: ")
+
+
+@pytest.mark.parametrize("flag,tau", [("--temperature=300K", 313.0), ("--tau-us=500", 500.0)])
+def test_simulate_lifetime_flag_needs_effective_decay(tmp_path, capsys, flag, tau):
+    # without effective decay simulate reads no lifetime, so the flag would
+    # change no simulated number
+    assert main(["simulate", flag]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "--decay effective" in lines[0]
+    payload = run_json(tmp_path, "sim.json", ["simulate", "--decay", "effective", flag])
+    assert payload["derived"]["tau_us"] == tau
+
+
+def test_simulate_accepts_lifetime_keys_in_a_config_without_decay(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"temperature": "300K", "tau_us": 500,
+                                    "options": {"decay": "none"}}))
+    payload = run_json(tmp_path, "sim.json", ["simulate", "--config", str(cfg_path)])
+    assert payload["config"]["tau_us"] == 500 and payload["derived"]["tau_us"] == 500.0
+
+
+@pytest.mark.parametrize(
     "cfg,message",
     [
         ({"omega_bar_MHz": 0}, "omega_bar_MHz must be a positive number, got 0"),
@@ -529,6 +568,10 @@ def test_unknown_section_key_rejected(tmp_path, capsys, cfg):
          "tau_us must be a positive number or null, got -1"),
         ({"ratio_omega2_over_omega1": 5, "sweep": {"step_MHz": None}},
          "sweep.step_MHz must be a number, got None"),
+        # a section that is not an object, and a file that is not one
+        ({"options": 5}, "config 'options' must be an object"),
+        ({"sweep": [0.1]}, "config 'sweep' must be an object"),
+        ([1, 2], "must contain a JSON object"),
     ],
 )
 def test_rejection_names_the_key(tmp_path, capsys, cfg, message):
