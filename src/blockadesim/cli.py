@@ -57,7 +57,7 @@ from .budget import (
 )
 from .evolve import SimulationOptions, evolve
 from .ideal import cnot_ideal, deutsch_ideal, gate_fidelity, toffoli_ideal
-from .model import PhysicalParams
+from .model import TWO_PI, PhysicalParams
 from .schedule import (
     GATE_ATOMS,
     RATIO_MAX,
@@ -70,8 +70,6 @@ from .schedule import (
     solve_phase_matching,
     toffoli_schedule,
 )
-
-TWO_PI = 2.0 * math.pi
 
 # BLAS thread variables that the simulate artifact records as inherited
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -93,7 +91,8 @@ class Field:
     ``kind`` is "positive", "nonzero" or "finite" for a finite number,
     "choice" for one of ``choices``, or "bool" (flag values on/off).  Only
     the subcommands in ``commands`` take the flag; every subcommand accepts,
-    checks and echoes the key in a config file.
+    checks and echoes the key in a config file.  A key whose default is None
+    also accepts null.
     """
 
     key: str  # dotted path into the config, e.g. "options.decay"
@@ -102,7 +101,6 @@ class Field:
     flag: str
     help: str
     choices: tuple = ()
-    nullable: bool = False
     commands: tuple = COMMANDS
 
     @property
@@ -121,21 +119,21 @@ class Field:
 FIELDS = (
     Field("gate", "deutsch", "choice", "--gate", "gate kind", choices=tuple(GATE_ATOMS)),
     Field("theta_rad", None, "finite", "--theta-rad",
-          "deutsch angle in radians (alternative to --ratio)", nullable=True),
+          "deutsch angle in radians (alternative to --ratio)"),
     Field("ratio_omega2_over_omega1", None, "positive", "--ratio",
-          "omega2/omega1 ratio (alternative to --theta-rad)", nullable=True),
+          "omega2/omega1 ratio (alternative to --theta-rad)"),
     Field("omega0_MHz", 10.0, "positive", "--omega0-mhz",
           "control Rabi frequency /2pi, MHz", commands=READS_OMEGA0),
     Field("omega_bar_MHz", 0.54, "positive", "--omega-bar-mhz",
           "bright-state Rabi frequency /2pi, MHz", commands=ONE_POINT),
     Field("omega3_MHz", None, "positive", "--omega3-mhz", "swap-pulse Rabi frequency /2pi, "
-          "MHz (default omega_bar/sqrt(2))", nullable=True, commands=ONE_POINT),
+          "MHz (default omega_bar/sqrt(2))", commands=ONE_POINT),
     Field("c6_GHz_um6", -633.0, "nonzero", "--c6", "C6/2pi in GHz um^6 (signed)"),
     Field("L_um", 6.0, "positive", "--spacing-um", "lattice spacing L in um"),
     Field("temperature", "4.2K", "choice", "--temperature", "picks the Rydberg lifetime",
           choices=tuple(sorted(TAU_BY_TEMPERATURE)), commands=READS_LIFETIME),
     Field("tau_us", None, "positive", "--tau-us", "explicit Rydberg lifetime in us "
-          "(overrides temperature)", nullable=True, commands=READS_LIFETIME),
+          "(overrides temperature)", commands=READS_LIFETIME),
     Field("options.v_scale", 1.0, "positive", "--v-scale",
           "multiply the interaction strength (blockade-limit studies)"),
     Field("options.decay", "none", "choice", "--decay", "effective Rydberg decay on/off",
@@ -241,7 +239,7 @@ def _is_finite_number(value) -> bool:
 
 
 def _check(field: Field, value) -> None:
-    if value is None and field.nullable:
+    if value is None and field.default is None:
         return
     if field.kind == "bool":
         ok, wanted = isinstance(value, bool), "true or false"
@@ -251,7 +249,7 @@ def _check(field: Field, value) -> None:
         wanted, test = _NUMBER_KINDS[field.kind]
         ok = _is_finite_number(value) and test(value)
     if not ok:
-        wanted += " or null" if field.nullable else ""
+        wanted += " or null" if field.default is None else ""
         raise ConfigError(f"{field.key} must be {wanted}, got {value!r}")
 
 

@@ -199,6 +199,10 @@ def evolve(
         )
     if opts.decay_tau is not None and not opts.decay_tau > 0:
         raise ValueError(f"decay_tau must be > 0, got {opts.decay_tau}")
+    # checked here too, since an empty schedule builds no Hamiltonian
+    if opts.cc_interaction not in ("physical", "none"):
+        raise ValueError("cc_interaction must be 'physical' or 'none', "
+                         f"got {opts.cc_interaction!r}")
 
     dim = 3**n
     comp = qcore.computational_indices(n)

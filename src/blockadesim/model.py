@@ -92,15 +92,13 @@ class PhysicalParams:
         return replace(self, c6_over_2pi=self.c6_over_2pi * factor)
 
 
-@functools.lru_cache(maxsize=256)
 def interaction_diagonal(
     params: PhysicalParams, cc_interaction: str = "physical"
 ) -> np.ndarray:
     """Summed pair shift of every basis state, rad/us: ``params.blockade``
     where a control and the target are both in ``r``, plus
     ``params.control_residue`` where both controls are (``"physical"``
-    only).  Computed once per ``(params, cc_interaction)`` and returned
-    read-only."""
+    only)."""
     import numpy as np
 
     from . import qcore
@@ -116,13 +114,13 @@ def interaction_diagonal(
         diag[control & target] += blockade
     if cc_interaction == "physical" and len(controls) == 2:
         diag[controls[0] & controls[1]] += params.control_residue
-    diag.flags.writeable = False
     return diag
 
 
 @functools.lru_cache(maxsize=256)
 def _interaction_matrix(params: PhysicalParams, cc_interaction: str) -> np.ndarray:
-    """:func:`interaction_diagonal` as a read-only complex diagonal matrix."""
+    """:func:`interaction_diagonal` as a read-only complex diagonal matrix,
+    computed once per ``(params, cc_interaction)``."""
     import numpy as np
 
     h = np.diag(interaction_diagonal(params, cc_interaction).astype(complex))

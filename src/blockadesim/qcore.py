@@ -2,19 +2,20 @@
 three-level atoms.
 
 Each atom has two ground levels ``g0``, ``g1`` and one Rydberg level ``r``.
-Product states are indexed big-endian in base 3 with codes g0=0, g1=1, r=2,
-so a three-atom register spans indices 0..26.  All angular frequencies are
-rad/us and all times are us throughout the package.
+Product states are indexed big-endian in base 3 with codes g0=0, g1=1, r=2:
+a state's index is ``int`` of its code string in base 3, so (r, r, g0) is
+``int("220", 3)`` = 24, a computational label such as "110" is its own code
+string, and a three-atom register spans indices 0..26.  All angular
+frequencies are rad/us and all times are us throughout the package.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
-LEVELS = ("g0", "g1", "r")
 LEVEL_CODE = {"g0": 0, "g1": 1, "r": 2}
 
 # Degree-13 diagonal Pade coefficients and the 1-norm up to which that
@@ -32,21 +33,6 @@ _PADE13_NORM = 5.371920351148152
 # propagator's eigenphases lose precision: the Deutsch gate error rises from
 # 2e-15 to 2e-11 at 3e12 rad and to 3e-5 at 3e15 rad.
 MAX_SEGMENT_PHASE = 1e12
-
-
-def basis_index(levels: Sequence[str]) -> int:
-    """Canonical index of a product basis state, e.g. ("r", "r", "g1") -> 25."""
-    index = 0
-    for level in levels:
-        try:
-            code = LEVEL_CODE[level]
-        except (KeyError, TypeError):
-            raise ValueError(
-                f"unknown level {level!r}; expected one of {LEVELS}"
-            ) from None
-        index = 3 * index + code
-    return index
-
 
 # Integer index tables of a register: each is computed once per register
 # size and returned read-only, since every caller shares the same array.

@@ -9,6 +9,7 @@ phase on the doubly excited controls.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .model import GateSchedule, PhysicalParams, PulseSegment, Transition
@@ -196,7 +197,8 @@ def solve_phase_matching(n_windings: int, gate: str, params: PhysicalParams) -> 
     is a constant and omega_bar_N = omega_bar |phi(omega_bar)| / (2 pi N)
     gives |phi| = 2 N pi (phi = +2 N pi for attractive, i.e. negative,
     shifts).  Raises ``ValueError`` for a gate with no residue phase (the
-    CNOT, or a zero control-control shift): it has no solutions.
+    CNOT, or a zero control-control shift): it has no solutions; and when
+    omega_bar_N is below the normal float range (a tiny C6).
     """
     if int(n_windings) != n_windings or n_windings < 1:
         raise ValueError(f"n_windings must be a positive integer, got {n_windings}")
@@ -204,4 +206,8 @@ def solve_phase_matching(n_windings: int, gate: str, params: PhysicalParams) -> 
     phi = residue_phase(gate, DriveParams.from_ratio(1.0, 1.0, 1.0), params)
     if phi == 0:
         raise ValueError(f"the {gate} gate has no residue phase to match")
-    return abs(phi) / (2.0 * math.pi * n_windings)
+    omega_bar = abs(phi) / (2.0 * math.pi * n_windings)
+    if omega_bar < sys.float_info.min:
+        raise ValueError(f"the {gate} gate's residue phase {phi:.3g} rad (at omega_bar = 1 "
+                         f"rad/us) puts omega_bar for N = {n_windings} below the float range")
+    return omega_bar

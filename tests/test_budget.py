@@ -175,6 +175,8 @@ def test_blockade_error_limits():
     assert blockade_error(doubled_spacing, TWO_PI * 10.0) == pytest.approx(
         blockade_error(residue, TWO_PI * 10.0) / 4096.0, rel=1e-12
     )
+    with pytest.raises(ValueError, match="omega0 must be > 0"):
+        blockade_error(residue, 0.0)
 
 
 def _two_photon_by_hand(drive, v):
@@ -342,6 +344,10 @@ def test_sweep_grid_validation():
         sweep_grid(0.02, 2.5, 0.02)
     with pytest.raises(ValueError):
         sweep_grid(0.02, 1.0, 0.0)
+    # a count past 1e15 is printed rounded, not with its 301 digits
+    with pytest.raises(ValueError, match=r"gives 2\.28e\+300 grid points") as error:
+        sweep_grid(0.02, 2.3, 1e-300)
+    assert len(str(error.value)) < 100
 
 
 def test_sweep_grid_point_limit():

@@ -683,9 +683,12 @@ def test_mistyped_config_gives_one_error_line(tmp_path, capsys, cfg):
         # the decay rate 0.5 * 3 / tau overflows the segment exponentials
         (["simulate", "--decay", "effective", "--tau-us", "1e-306",
           "--omega-bar-mhz", "0.001"], None),
+        # the phase-matched omega_bar underflows below the normal floats
+        (["synth", "--c6", "1e-320"], None),
+        (["phase", "--c6", "1e-320"], None),
     ],
     ids=["v_scale", "c6", "omega_ratio", "budget_omega0", "sweep_omega0", "phase_inf",
-         "decay_rate"],
+         "decay_rate", "synth_match_underflow", "phase_match_underflow"],
 )
 # a warning would print more stderr lines from a shell
 @pytest.mark.filterwarnings("error")

@@ -34,8 +34,8 @@ DRIVE = DriveParams.from_ratio(TWO_PI * 10.0, TWO_PI * 0.54, 2.0)
 
 NO_DWELL = SimulationOptions(compute_dwell=False)
 
-I110 = qcore.basis_index(("g1", "g1", "g0"))
-I111 = qcore.basis_index(("g1", "g1", "g1"))
+I110 = int("110", 3)
+I111 = int("111", 3)
 
 
 def weak_row_two_photon_prediction(drive, v):
@@ -66,6 +66,13 @@ def test_empty_schedule_is_identity(decay_tau, compute_dwell):
     else:
         assert result.dwell_per_input is None
     assert result.phase_mismatch == 0.0
+
+
+def test_empty_schedule_checks_cc_interaction():
+    # no segment builds a Hamiltonian, so evolve checks the option itself
+    options = SimulationOptions(cc_interaction="bogus", frame_correction=True)
+    with pytest.raises(ValueError, match="cc_interaction must be 'physical' or 'none'"):
+        evolve(GateSchedule((), "x", 3), REF_PARAMS, options)
 
 
 def test_register_mismatch_rejected():

@@ -122,25 +122,25 @@ def test_interaction_operator_diagonals():
     assert diag.shape == (27,)
     assert diag.dtype == np.float64
     # both controls excited: residue only
-    assert diag[qcore.basis_index(("r", "r", "g0"))] == pytest.approx(v / 64.0)
-    assert diag[qcore.basis_index(("r", "r", "g1"))] == pytest.approx(v / 64.0)
+    assert diag[int("220", 3)] == pytest.approx(v / 64.0)
+    assert diag[int("221", 3)] == pytest.approx(v / 64.0)
     # one control plus target: full blockade shift
-    assert diag[qcore.basis_index(("r", "g1", "r"))] == pytest.approx(v)
-    assert diag[qcore.basis_index(("g1", "r", "r"))] == pytest.approx(v)
+    assert diag[int("212", 3)] == pytest.approx(v)
+    assert diag[int("122", 3)] == pytest.approx(v)
     # all three excited
-    assert diag[qcore.basis_index(("r", "r", "r"))] == pytest.approx(
+    assert diag[int("222", 3)] == pytest.approx(
         2.0 * v + v / 64.0
     )
     # at most one excited atom: no shift
-    for levels in (("g0", "g0", "g0"), ("g1", "g1", "r"), ("r", "g0", "g1")):
-        assert diag[qcore.basis_index(levels)] == 0.0
+    for code in ("000", "112", "201"):
+        assert diag[int(code, 3)] == 0.0
 
 
 def test_interaction_operator_without_control_residue():
     diag = interaction_diagonal(REF_PARAMS, cc_interaction="none")
     v = REF_PARAMS.blockade
-    assert diag[qcore.basis_index(("r", "r", "g0"))] == 0.0
-    assert diag[qcore.basis_index(("r", "r", "r"))] == pytest.approx(2.0 * v)
+    assert diag[int("220", 3)] == 0.0
+    assert diag[int("222", 3)] == pytest.approx(2.0 * v)
     with pytest.raises(ValueError):
         interaction_diagonal(REF_PARAMS, cc_interaction="off")
 
@@ -148,8 +148,8 @@ def test_interaction_operator_without_control_residue():
 def test_interaction_operator_two_atoms():
     params = PhysicalParams(-633.0, 6.0, 1590.0, n_atoms=2)
     diag = interaction_diagonal(params)
-    assert diag[qcore.basis_index(("r", "r"))] == pytest.approx(params.blockade)
-    assert diag[qcore.basis_index(("r", "g1"))] == 0.0
+    assert diag[int("22", 3)] == pytest.approx(params.blockade)
+    assert diag[int("21", 3)] == 0.0
 
 
 def test_segment_hamiltonian_empty_is_interaction_only():
@@ -165,7 +165,7 @@ def test_segment_hamiltonian_lambda_block():
         (Transition(2, "g0", omega1), Transition(2, "g1", 1j * omega2)), 1.0
     )
     h = segment_hamiltonian(segment, REF_PARAMS)
-    idx = [qcore.basis_index(("g1", "g1", lev)) for lev in ("g0", "g1", "r")]
+    idx = [int("11" + code, 3) for code in "012"]
     block = h[np.ix_(idx, idx)]
     expected = np.array(
         [
@@ -267,6 +267,8 @@ def test_gate_schedule_validation_and_durations():
     seg = PulseSegment((Transition(0, "g0", 1.0),), 0.5)
     with pytest.raises(ValueError):
         GateSchedule((PulseSegment((Transition(2, "g0", 1.0),), 0.5),), "x", 2)
+    with pytest.raises(ValueError, match="n_atoms must be 2 or 3"):
+        GateSchedule((), "x", 4)
     schedule = GateSchedule((seg, seg, seg), "x", 2)
     assert schedule.total_duration == pytest.approx(1.5)
     assert schedule.interior_duration == pytest.approx(0.5)

@@ -1,4 +1,8 @@
-"""Tests for basis indexing and the dense linear-algebra kernel."""
+"""Tests for basis indexing and the dense linear-algebra kernel.
+
+A basis state is addressed by its code string in base 3: ``int("220", 3)`` is
+(r, r, g0).
+"""
 
 import itertools
 import math
@@ -13,8 +17,8 @@ from blockadesim.model import (
     PhysicalParams,
     PulseSegment,
     Transition,
+    _interaction_matrix,
     computational_labels,
-    interaction_diagonal,
     segment_hamiltonian,
 )
 from blockadesim.schedule import DriveParams, cnot_schedule, deutsch_schedule, toffoli_schedule
@@ -42,24 +46,18 @@ def two_level_rabi(omega, t):
     ],
 )
 def test_basis_index_examples(levels, index):
-    assert qcore.basis_index(levels) == index
+    # a state's index is its code string read big-endian in base 3
+    codes = [qcore.LEVEL_CODE[level] for level in levels]
+    assert qcore.level_codes(len(levels))[:, index].tolist() == codes
+    assert int("".join(map(str, codes)), 3) == index
 
 
 @pytest.mark.parametrize("n_atoms", [2, 3])
 def test_basis_index_roundtrip(n_atoms):
     codes = qcore.level_codes(n_atoms)
     assert codes.shape == (n_atoms, 3**n_atoms)
-    seen = set()
     for index in range(3**n_atoms):
-        levels = tuple(qcore.LEVELS[c] for c in codes[:, index])
-        assert qcore.basis_index(levels) == index
-        seen.add(levels)
-    assert len(seen) == 3**n_atoms
-
-
-def test_basis_index_rejects_unknown_level():
-    with pytest.raises(ValueError):
-        qcore.basis_index(("g0", "g2", "r"))
+        assert int("".join(map(str, codes[:, index])), 3) == index
 
 
 def test_computational_indices_order():
@@ -91,8 +89,8 @@ def sector_blocks(layout, n_atoms):
 def test_rydberg_weights():
     w = rydberg_weights(3)[:, 0]
     assert w[0] == 0
-    assert w[qcore.basis_index(("r", "g1", "g0"))] == 1
-    assert w[qcore.basis_index(("r", "r", "g0"))] == 2
+    assert w[int("210", 3)] == 1
+    assert w[int("220", 3)] == 2
     assert w[26] == 3
 
 
@@ -109,15 +107,15 @@ def deutsch_segment_layout(n_atoms):
     return qcore.segment_layout(n_atoms, segment_couplings(deutsch_schedule(DRIVE)))
 
 
-def interaction_diagonal_physical(n_atoms):
-    return interaction_diagonal(PhysicalParams(-633.0, 6.0, 1590.0, n_atoms), "physical")
+def interaction_matrix_physical(n_atoms):
+    return _interaction_matrix(PhysicalParams(-633.0, 6.0, 1590.0, n_atoms), "physical")
 
 
 @pytest.mark.parametrize(
     "table",
     [qcore.level_codes, qcore.computational_indices, rydberg_weights,
      qcore.coupling_indices, sector_layout, deutsch_segment_layout,
-     interaction_diagonal_physical],
+     interaction_matrix_physical],
 )
 def test_register_tables_are_cached_and_read_only(table):
     assert table(3) is table(3)
@@ -382,7 +380,7 @@ def test_matrix_exponential_pi_pulse():
     h = np.zeros((3, 3), dtype=complex)
     h[0, 2] = h[2, 0] = omega / 2.0
     u = qcore.matrix_exponential(h, math.pi / omega, hermitian=True)
-    g0, r = qcore.basis_index(("g0",)), qcore.basis_index(("r",))
+    g0, r = int("0", 3), int("2", 3)
     expected = np.zeros(3, dtype=complex)
     expected[r] = -1j
     np.testing.assert_allclose(u[:, g0], expected, atol=1e-12)

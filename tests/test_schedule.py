@@ -298,3 +298,7 @@ def test_solve_phase_matching_domain_errors():
         solve_phase_matching(0, "deutsch", REF_PARAMS)
     with pytest.raises(ValueError):
         solve_phase_matching(1.5, "deutsch", REF_PARAMS)
+    # a residue phase so small that omega_bar_N leaves the normal floats
+    tiny = PhysicalParams(1e-320, 6.0, 1590.0)
+    with pytest.raises(ValueError, match="deutsch gate's residue phase .* N = 1 below"):
+        solve_phase_matching(1, "deutsch", tiny)
