@@ -162,10 +162,11 @@ def error_budget(
     """Assemble the gate's analytic budget at an explicit lifetime (us).
 
     ``params`` must describe the gate's register (three atoms, two for the
-    CNOT); ``ValueError`` otherwise.
+    CNOT), and the drive must stay within the simulator's segment-phase
+    bound (:func:`schedule.check_register`); ``ValueError`` otherwise.
     """
     durations = segment_durations(gate, drive)
-    check_register(gate, params)
+    check_register(gate, params, durations)
     table = _dwell_rows(durations, drive, gate)
     mean_dwell = sum(table.values()) / len(table)
     residue = params.control_residue

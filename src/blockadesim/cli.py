@@ -34,7 +34,10 @@ C6, then the ``{"config", "derived"}`` head of a JSON artifact before the
 command runs.  Each ``cmd_*`` function maps the resolved request ``(cfg,
 drive, params)`` to its artifact body and summary and writes nothing;
 ``cmd_sweep`` returns the CSV and the rows and argmins of its JSON summary.
-``main`` then writes the output with one ``_emit``.
+``main`` then writes the output with one ``_emit``.  ``cmd_phase`` builds
+the one phase-matching report (the residue phase, and for N = 1-8 the
+omega_bar that makes it 2 pi N with the residue phase there), which
+``cmd_synth`` carries as its ``phi_rad`` and ``phase_matching``.
 """
 
 from __future__ import annotations
@@ -348,28 +351,11 @@ def _emit(artifact: str, out_path: str | None, summary: str) -> None:
         sys.stdout.write(artifact)
 
 
-def phase_matches(gate: str, drive: DriveParams, params: PhysicalParams, phi: float,
-                  n_max: int, with_phase: bool = False) -> list[dict]:
-    """The omega_bar/2pi that makes the residue phase 2 pi N, for N = 1 to
-    ``n_max``; none for a gate whose residue phase ``phi`` is 0, which has
-    nothing to match.  ``with_phase`` adds the residue phase of the sweep's
-    drive at each matched omega_bar."""
-    entries = []
-    for n in range(1, n_max + 1) if phi else ():
-        omega_bar = solve_phase_matching(n, gate, params)
-        entry = {"N": n, "omega_bar_MHz": omega_bar / TWO_PI}
-        if with_phase:
-            matched = DriveParams.from_ratio(drive.omega0, omega_bar, drive.omega2 / drive.omega1)
-            entry["phi_rad"] = residue_phase(gate, matched, params)
-        entries.append(entry)
-    return entries
-
-
 def cmd_synth(cfg: dict, drive: DriveParams, params: PhysicalParams) -> tuple[dict, str]:
     gate = cfg["gate"]
     schedule = gate_functions(gate)[0](drive)
-    phi = residue_phase(gate, drive, params)
-    matches = phase_matches(gate, drive, params, phi, 6)
+    report, _ = cmd_phase(cfg, drive, params)
+    phi, matches = report["phi_rad"], report["matched_solutions"]
 
     segments = [
         {
@@ -487,7 +473,14 @@ def cmd_budget(cfg: dict, drive: DriveParams, params: PhysicalParams) -> tuple[d
 def cmd_phase(cfg: dict, drive: DriveParams, params: PhysicalParams) -> tuple[dict, str]:
     gate = cfg["gate"]
     phi = residue_phase(gate, drive, params)
-    solutions = phase_matches(gate, drive, params, phi, 8, with_phase=True)
+    # N = 1-8, each with the residue phase of the sweep's drive at its
+    # omega_bar; none for a gate with no residue phase to match
+    solutions = []
+    for n in range(1, 9) if phi else ():
+        omega_bar = solve_phase_matching(n, gate, params)
+        matched = DriveParams.from_ratio(drive.omega0, omega_bar, drive.omega2 / drive.omega1)
+        solutions.append({"N": n, "omega_bar_MHz": omega_bar / TWO_PI,
+                          "phi_rad": residue_phase(gate, matched, params)})
     body = {"phi_rad": phi, "phi_over_pi": phi / math.pi, "matched_solutions": solutions}
     return body, (f"phi = {phi:.6f} rad ({phi / math.pi:.4f} pi) "
                   f"at omega_bar/2pi = {cfg['omega_bar_MHz']} MHz")
@@ -590,7 +583,8 @@ def main(argv=None) -> int:
         return 1
     except ArithmeticError as exc:
         # A value that passes the config checks can still overflow or
-        # divide by zero in the physics (budget --v-scale 1e200).
+        # divide by zero in the physics (budget --omega0-mhz 1e300
+        # --omega-bar-mhz 1e-9).
         print(f"error: an input is outside the range the model can evaluate "
               f"({type(exc).__name__}: {exc})", file=sys.stderr)
         return 1

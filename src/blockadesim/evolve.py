@@ -77,7 +77,7 @@ class SimulationResult:
     output norm (zero without decay); ``phase_correction`` is the residue
     phase removed when frame correction is on; ``phase_mismatch`` is the
     simulated-minus-predicted residue phase on the all-zeros input, wrapped
-    to (-pi, pi].
+    to [-pi, pi].
     """
 
     full_propagator: np.ndarray
@@ -87,13 +87,6 @@ class SimulationResult:
     norm_loss_per_input: dict[str, float]
     phase_correction: float
     phase_mismatch: float
-
-
-def _wrap_angle(angle: float) -> float:
-    wrapped = math.fmod(angle + math.pi, 2.0 * math.pi)
-    if wrapped <= 0.0:
-        wrapped += 2.0 * math.pi
-    return wrapped - math.pi
 
 
 @functools.cache
@@ -260,11 +253,12 @@ def evolve(
     # which is reported, not corrected.
     residue = params.control_residue if opts.cc_interaction == "physical" else 0.0
     phase_correction = residue_phase_over(schedule.interior_duration, residue)
-    simulated_phase = float(np.angle(propagator[comp[0], comp[0]]))
-    phase_mismatch = _wrap_angle(simulated_phase - phase_correction)
+    correction = np.exp(-1j * phase_correction)
+    # np.angle wraps the product itself, so no large phase is subtracted
+    phase_mismatch = float(np.angle(propagator[comp[0], comp[0]] * correction))
     if opts.frame_correction and phase_correction != 0.0:
         # inputs with both controls in g0 occupy the first two computational slots
-        propagator[:, comp[:2]] *= np.exp(-1j * phase_correction)
+        propagator[:, comp[:2]] *= correction
 
     columns = propagator[:, comp]
     block = columns[comp]

@@ -16,6 +16,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .schedule import MAX_SEGMENT_PHASE
+
 LEVEL_CODE = {"g0": 0, "g1": 1, "r": 2}
 
 # Degree-13 diagonal Pade coefficients and the 1-norm up to which that
@@ -28,11 +30,6 @@ _PADE13 = (
     16380.0, 182.0, 1.0,
 )
 _PADE13_NORM = 5.371920351148152
-
-# Largest max|H| * duration a segment may carry, in rad.  Past it the
-# propagator's eigenphases lose precision: the Deutsch gate error rises from
-# 2e-15 to 2e-11 at 3e12 rad and to 3e-5 at 3e15 rad.
-MAX_SEGMENT_PHASE = 1e12
 
 # Integer index tables of a register: each is computed once per register
 # size and returned read-only, since every caller shares the same array.

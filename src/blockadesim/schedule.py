@@ -21,6 +21,13 @@ SQRT2 = math.sqrt(2.0)
 RATIO_MIN = SQRT2 - 1.0
 RATIO_MAX = SQRT2 + 1.0
 
+# Largest max|H| * duration a segment may carry, in rad.  Past it the
+# propagator's eigenphases lose precision: the Deutsch gate error rises from
+# 2e-15 to 2e-11 at 3e12 rad and to 3e-5 at 3e15 rad.  The analytic results
+# are held to the same bound through the blockade phase of the longest
+# segment, so that no subcommand reports a drive the simulator refuses.
+MAX_SEGMENT_PHASE = 1e12
+
 # Rounding in atan2 and in the inputs can carry an endpoint of the branch a
 # few ulp past 0 (which the modulo would wrap to just below 2 pi) or past pi.
 _ENDPOINT_SNAP = 1e-14
@@ -132,12 +139,19 @@ def segment_durations(gate: str, drive: DriveParams) -> tuple[float, ...]:
     raise ValueError(f"gate must be one of {tuple(GATE_ATOMS)}, got {gate!r}")
 
 
-def check_register(gate: str, params: PhysicalParams) -> None:
-    """Raise ``ValueError`` unless ``params`` describe the gate's register."""
+def check_register(gate: str, params: PhysicalParams, durations: tuple[float, ...]) -> None:
+    """Raise ``ValueError`` unless ``params`` describe the gate's register
+    and the blockade phase ``|V| * max(durations)`` of the longest of a
+    drive's segment ``durations`` (none, to check the register alone) is
+    within ``MAX_SEGMENT_PHASE``."""
     if params.n_atoms != GATE_ATOMS[gate]:
         raise ValueError(
             f"the {gate} gate needs {GATE_ATOMS[gate]} atoms, params have {params.n_atoms}"
         )
+    phase = abs(params.blockade) * max(durations, default=0.0)
+    if phase > MAX_SEGMENT_PHASE:
+        raise ValueError(f"blockade phase |V| * longest segment = {phase:.3g} rad exceeds "
+                         f"{MAX_SEGMENT_PHASE:.0e} rad; check the drive and the interaction")
 
 
 def residue_phase_over(interior: float, residue: float) -> float:
@@ -150,10 +164,11 @@ def residue_phase_over(interior: float, residue: float) -> float:
 
 def residue_phase(gate: str, drive: DriveParams, params: PhysicalParams) -> float:
     """The gate's residue phase, -T_interior * params.control_residue, rad
-    (zero for the CNOT).  ``params`` must describe the gate's register."""
-    interior = sum(segment_durations(gate, drive)[1:-1])
-    check_register(gate, params)
-    return residue_phase_over(interior, params.control_residue)
+    (zero for the CNOT).  ``params`` and the drive must pass
+    :func:`check_register`."""
+    durations = segment_durations(gate, drive)
+    check_register(gate, params, durations)
+    return residue_phase_over(sum(durations[1:-1]), params.control_residue)
 
 
 def _schedule(gate: str, drive: DriveParams, ratio_pulses=()) -> GateSchedule:
@@ -202,8 +217,12 @@ def solve_phase_matching(n_windings: int, gate: str, params: PhysicalParams) -> 
     """
     if int(n_windings) != n_windings or n_windings < 1:
         raise ValueError(f"n_windings must be a positive integer, got {n_windings}")
-    # omega_bar = 1 rad/us; omega0 and the ratio do not enter the interior
-    phi = residue_phase(gate, DriveParams.from_ratio(1.0, 1.0, 1.0), params)
+    # omega_bar = 1 rad/us; omega0 and the ratio do not enter the interior.
+    # This reference drive is not held to the segment-phase bound, which
+    # the drives built from the solution are.
+    durations = segment_durations(gate, DriveParams.from_ratio(1.0, 1.0, 1.0))
+    check_register(gate, params, ())
+    phi = residue_phase_over(sum(durations[1:-1]), params.control_residue)
     if phi == 0:
         raise ValueError(f"the {gate} gate has no residue phase to match")
     omega_bar = abs(phi) / (2.0 * math.pi * n_windings)

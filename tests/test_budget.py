@@ -18,9 +18,11 @@ from blockadesim.budget import (
 )
 from blockadesim.model import PhysicalParams, vdw_shift
 from blockadesim.schedule import (
+    MAX_SEGMENT_PHASE,
     DriveParams,
     cnot_schedule,
     deutsch_schedule,
+    residue_phase,
     toffoli_schedule,
 )
 
@@ -272,6 +274,22 @@ def test_error_budget_rejects_the_wrong_register(gate):
         error_budget(ref_drive(0.54), wrong, 1590.0, gate)
     with pytest.raises(ValueError, match="gate must be one of"):
         error_budget(ref_drive(0.54), REF_PARAMS, 1590.0, "swap")
+
+
+@pytest.mark.parametrize("gate", ["deutsch", "toffoli", "cnot"])
+def test_analytic_results_hold_to_the_segment_phase_bound(gate):
+    # at so slow a control drive the control pulses pi/w0 are the longest
+    # segments, and their blockade phase pi |V| / w0 is 1e12 rad at w0 = slowest
+    params = PARAMS[gate]
+    slowest = math.pi * abs(params.blockade) / MAX_SEGMENT_PHASE
+    inside = DriveParams.from_ratio(1.001 * slowest, TWO_PI * 0.54, 2.0)
+    assert math.isfinite(error_budget(inside, params, 1590.0, gate).total)
+    assert math.isfinite(residue_phase(gate, inside, params))
+    past = DriveParams.from_ratio(0.999 * slowest, TWO_PI * 0.54, 2.0)
+    with pytest.raises(ValueError, match=r"blockade phase .* exceeds 1e\+12 rad"):
+        error_budget(past, params, 1590.0, gate)
+    with pytest.raises(ValueError, match=r"blockade phase .* exceeds 1e\+12 rad"):
+        residue_phase(gate, past, params)
 
 
 def test_three_pulse_dwell_tables():

@@ -330,6 +330,28 @@ def test_toffoli_residue_phase_is_the_simulated_correction(tmp_path):
     assert phase["matched_solutions"][0]["phi_rad"] == pytest.approx(2.0 * math.pi, abs=1e-9)
 
 
+@pytest.mark.parametrize("gate", ["deutsch", "toffoli"])
+def test_synth_reports_the_phase_matching_of_phase(tmp_path, capsys, gate):
+    # one report: synth carries phase's residue phase and matched drives
+    synth = run_json(tmp_path, "synth.json", ["synth", "--gate", gate])
+    phase = run_json(tmp_path, "phase.json", ["phase", "--gate", gate])
+    assert synth["phi_rad"] == phase["phi_rad"]
+    assert synth["phase_matching"] == phase["matched_solutions"]
+    assert [m["N"] for m in synth["phase_matching"]] == list(range(1, 9))
+    assert ", N=8: " in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["synth", "phase"])
+def test_phase_matching_runs_where_simulate_does(tmp_path, command):
+    # phase matching solves on a slow reference drive that the segment-phase
+    # bound would refuse at this v_scale; the configured drive passes it
+    argv = ["--v-scale", "3e9"]
+    assert run_json(tmp_path, "sim.json", ["simulate", *argv])["unitarity_defect"] < 1e-9
+    report = run_json(tmp_path, "out.json", [command, *argv])
+    key = {"synth": "phase_matching", "phase": "matched_solutions"}[command]
+    assert [m["N"] for m in report[key]] == list(range(1, 9))
+
+
 def test_cnot_has_no_residue_phase_to_match(tmp_path, capsys):
     synth = run_json(tmp_path, "synth.json", ["synth", "--gate", "cnot"])
     assert synth["phi_rad"] == 0.0 and synth["phase_matching"] == []
@@ -686,9 +708,19 @@ def test_mistyped_config_gives_one_error_line(tmp_path, capsys, cfg):
         # the phase-matched omega_bar underflows below the normal floats
         (["synth", "--c6", "1e-320"], None),
         (["phase", "--c6", "1e-320"], None),
+        # a blockade phase past the simulator's segment bound
+        (["synth", "--omega-bar-mhz", "1e-300"], None),
+        (["phase", "--omega-bar-mhz", "1e-300"], None),
+        (["budget", "--omega-bar-mhz", "1e-300"], None),
+        (["sweep", "--sweep-start", "1e-300", "--sweep-stop", "1e-300"], None),
+        (["synth", "--omega0-mhz", "1e-300"], None),
+        (["synth", "--v-scale", "1e200"], None),
+        (["phase", "--v-scale", "1e200"], None),
     ],
     ids=["v_scale", "c6", "omega_ratio", "budget_omega0", "sweep_omega0", "phase_inf",
-         "decay_rate", "synth_match_underflow", "phase_match_underflow"],
+         "decay_rate", "synth_match_underflow", "phase_match_underflow",
+         "synth_slow_drive", "phase_slow_drive", "budget_slow_drive", "sweep_slow_drive",
+         "synth_slow_control", "synth_v_scale", "phase_v_scale"],
 )
 # a warning would print more stderr lines from a shell
 @pytest.mark.filterwarnings("error")

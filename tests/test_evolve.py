@@ -324,6 +324,19 @@ def test_budget_residue_phase_is_the_simulated_correction(gate, builder, params)
     assert residue_phase(gate, DRIVE, params) == result.phase_correction
 
 
+@pytest.mark.parametrize("builder,params", [
+    (deutsch_schedule, REF_PARAMS), (toffoli_schedule, REF_PARAMS), (cnot_schedule, REF_PARAMS_2),
+])
+def test_phase_mismatch_is_the_wrapped_residue_mismatch(builder, params):
+    # the slowest grid drive carries the largest predicted phase, about 133 rad
+    drive = DriveParams.from_ratio(TWO_PI * 10.0, TWO_PI * 0.02, 2.0)
+    result = evolve(builder(drive), params, NO_DWELL)
+    simulated = float(np.angle(result.full_propagator[0, 0]))
+    expected = math.remainder(simulated - result.phase_correction, TWO_PI)
+    assert -math.pi <= result.phase_mismatch <= math.pi
+    assert result.phase_mismatch == pytest.approx(expected, abs=1e-13)
+
+
 # ---------------------------------------------------------------------------
 # dwell times
 # ---------------------------------------------------------------------------

@@ -285,6 +285,16 @@ def test_solve_phase_matching_roundtrip(n):
         assert abs(residue_phase(gate, drive, REF_PARAMS) - 2.0 * n * math.pi) < 1e-10
 
 
+def test_solve_phase_matching_is_not_held_to_its_reference_drive():
+    # at this C6 the 1 rad/us reference drive's blockade phase exceeds the
+    # segment bound, but the matched drive is fast enough to simulate
+    strong = REF_PARAMS.with_interaction_scaled(3e9)
+    assert abs(strong.blockade) * TWO_PI > qcore.MAX_SEGMENT_PHASE
+    omega_bar = solve_phase_matching(1, "deutsch", strong)
+    drive = DriveParams.from_ratio(TWO_PI * 10.0, omega_bar, 2.0)
+    assert residue_phase("deutsch", drive, strong) == pytest.approx(TWO_PI, abs=1e-9)
+
+
 def test_solve_phase_matching_domain_errors():
     # no residue, no solutions: the CNOT, or controls without a shift
     with pytest.raises(ValueError, match="no residue phase"):
