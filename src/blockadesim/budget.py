@@ -136,6 +136,11 @@ def _two_photon(
     pulses, which share one phase.  The residue correction v/32 to the 4v is
     dropped: it is 1/128 of that detuning and moves only the quarter-weight
     strong-row term.
+
+    Each row is sin^2 of its phase, so it rises with the drive only while
+    the weak phase is within pi/2 in magnitude; past it the rows fall as the
+    blockade weakens and can sum above 1, so ``ValueError`` is raised there.
+    The bound keeps the rows monotone; it does not mark the blockade regime.
     """
     if v == 0:
         raise ValueError("v must be nonzero")
@@ -152,6 +157,11 @@ def _two_photon(
                 f"two-photon phase is not finite: the blockade shift {v:.3g} rad/us "
                 "is too small for the drive"
             )
+        if abs(weak) > math.pi / 2:
+            raise ValueError(
+                f"two-photon phase {weak:.3g} rad exceeds pi/2 in magnitude: the blockade "
+                f"shift {v:.3g} rad/us is too weak for the drive to be blockaded"
+            )
         loss += 0.5 * math.sin(weak) ** 2 + strong_weight * math.sin(weak / 2.0) ** 2
     return loss
 
@@ -162,8 +172,9 @@ def error_budget(
     """Assemble the gate's analytic budget at an explicit lifetime (us).
 
     ``params`` must describe the gate's register (three atoms, two for the
-    CNOT), and the drive must stay within the simulator's segment-phase
-    bound (:func:`schedule.check_register`); ``ValueError`` otherwise.
+    CNOT), the drive must stay within the simulator's segment-phase bound
+    (:func:`schedule.check_register`) and each two-photon phase within pi/2
+    (:func:`_two_photon`); ``ValueError`` otherwise.
     """
     durations = segment_durations(gate, drive)
     check_register(gate, params, durations)
@@ -174,7 +185,7 @@ def error_budget(
         gate_time_us=sum(durations),
         control_dwell_us=_control_dwell(durations),
         mean_rydberg_time_us=mean_dwell,
-        residue_phase_rad=residue_phase_over(sum(durations[1:-1]), residue),
+        residue_phase_rad=residue_phase_over(durations, residue),
         decay=_decay(mean_dwell, tau),
         blockade=blockade_error(residue, drive.omega0),
         two_photon=_two_photon(durations, drive, params.blockade, gate),

@@ -164,10 +164,6 @@ _NUMBER_KINDS = {
 }
 
 
-class ConfigError(ValueError):
-    """Invalid or inconsistent run configuration."""
-
-
 def _load_config_file(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -175,9 +171,9 @@ def _load_config_file(path: str) -> dict:
     # ValueError also covers bad UTF-8 and an int past the digit limit, and
     # a deeply nested file exhausts the parser's recursion
     except (OSError, ValueError, RecursionError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        raise ValueError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(cfg, dict):
-        raise ConfigError(f"config {path} must contain a JSON object")
+        raise ValueError(f"config {path} must contain a JSON object")
     return cfg
 
 
@@ -188,15 +184,15 @@ def _merge_file(cfg: dict, file_cfg: dict) -> None:
     for key, value in file_cfg.items():
         if key in SECTIONS:
             if not isinstance(value, dict):
-                raise ConfigError(f"config {key!r} must be an object")
+                raise ValueError(f"config {key!r} must be an object")
             items = {f"{key}.{name}": item for name, item in value.items()}
         elif "." not in key:
             items = {key: value}
         else:  # a section's key belongs inside the section's object
-            raise ConfigError(f"unknown config key {key!r}")
+            raise ValueError(f"unknown config key {key!r}")
         for dotted, item in items.items():
             if dotted not in cfg:
-                raise ConfigError(f"unknown config key {dotted!r}")
+                raise ValueError(f"unknown config key {dotted!r}")
             cfg[dotted] = item
 
 
@@ -217,7 +213,7 @@ def resolve_config(args: argparse.Namespace) -> dict:
     if args.command == "simulate" and cfg["options.decay"] != "effective":
         for field in FIELDS:
             if field.key in ("temperature", "tau_us") and getattr(args, field.dest) is not None:
-                raise ConfigError(f"simulate reads {field.flag} only with --decay effective")
+                raise ValueError(f"simulate reads {field.flag} only with --decay effective")
     return cfg
 
 
@@ -253,7 +249,7 @@ def _check(field: Field, value) -> None:
         ok = _is_finite_number(value) and test(value)
     if not ok:
         wanted += " or null" if field.default is None else ""
-        raise ConfigError(f"{field.key} must be {wanted}, got {value!r}")
+        raise ValueError(f"{field.key} must be {wanted}, got {value!r}")
 
 
 def build_drive(cfg: dict) -> DriveParams:
@@ -264,17 +260,17 @@ def build_drive(cfg: dict) -> DriveParams:
     theta, ratio = cfg["theta_rad"], cfg["ratio_omega2_over_omega1"]
     if cfg["gate"] != "deutsch":
         if theta is not None or ratio is not None:
-            raise ConfigError("theta_rad / ratio apply to the deutsch gate only")
+            raise ValueError("theta_rad / ratio apply to the deutsch gate only")
         ratio = 1.0  # toffoli/cnot never touch the ratio pulses
     elif theta is not None and ratio is not None:
-        raise ConfigError("supply exactly one of theta_rad / ratio for the deutsch gate")
+        raise ValueError("supply exactly one of theta_rad / ratio for the deutsch gate")
     elif theta is not None:
         if not 0.0 <= theta <= math.pi:
-            raise ConfigError(f"theta_rad must lie in [0, pi], got {theta}")
+            raise ValueError(f"theta_rad must lie in [0, pi], got {theta}")
     elif ratio is None:
         ratio = cfg["ratio_omega2_over_omega1"] = 2.0
     elif not RATIO_MIN <= ratio <= RATIO_MAX:
-        raise ConfigError(
+        raise ValueError(
             "ratio_omega2_over_omega1 must lie on the tunable branch "
             f"[sqrt(2) - 1, sqrt(2) + 1], got {ratio}"
         )
@@ -503,7 +499,7 @@ CSV_COLUMNS = {
 def cmd_sweep(cfg: dict, drive: DriveParams, params: PhysicalParams) -> tuple[str, dict]:
     """The CSV, and the rows and argmins of its JSON summary."""
     if cfg["omega3_MHz"] is not None:
-        raise ConfigError("omega3_MHz must be null for sweep, which sets "
+        raise ValueError("omega3_MHz must be null for sweep, which sets "
                           "omega3 = omega_bar/sqrt(2) at every grid point")
     points = sweep(
         params,

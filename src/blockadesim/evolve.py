@@ -17,25 +17,30 @@ into classes: 28 of the Deutsch gate's 51 blocks of up to 4 states.
 :func:`evolve` builds the full-space segment Hamiltonians with one zero
 padding state, gathers one block per class into a zero-padded ``(classes,
 m, m)`` stack, ``(28, 4, 4)`` for the Deutsch gate, exponentiates it in one
-batched call, scatters the steps to every block of their class and chains
-them from the identity on.  One padded index, cached with the classes and
-the Rydberg weights, does both the gather and the scatter, and an empty
+batched call, scatters the steps to every block of their class
+(:func:`qcore.scatter`) and chains them from the identity on
+(:func:`qcore.chain`).  One padded index, cached with the classes and the
+Rydberg weights, does both the gather and the scatter, and an empty
 schedule takes the same path.
 
 One decomposition per run: with the dwell on, one batched ``eigh`` of the
 distinct Hermitian blocks gives the unitary steps (handed to
 :func:`qcore.matrix_exponential` as ``eig``) and each class's dwell operator
-``D = int_0^T U(t)^dag W U(t) dt``, which scatters to full-space segment
-matrices exactly as the steps do.  An input's dwell is the sum over
-segments of ``D``'s expectation in its state at the segment start, a column
-of the running products of the unitary steps: the propagator chain itself
-with decay off, a chain of its own with decay on (the Pade steps carry the
-decay, which the dwell leaves out).
+``D = int_0^T U(t)^dag W U(t) dt`` (:func:`qcore.dwell_operators`), which
+scatters to full-space segment matrices exactly as the steps do.  An
+input's dwell is the sum over segments of ``D``'s expectation in its state
+at the segment start, a column of the running products of the unitary
+steps: the propagator chain itself with decay off, a chain of its own with
+decay on (the Pade steps carry the decay, which the dwell leaves out).
+
+This module holds the options, the result and :func:`evolve`.  The dense
+kernels live in :mod:`qcore`, which imports numpy at the top, so
+:func:`evolve` imports both inside the function and importing this module
+loads no numpy.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -87,75 +92,6 @@ class SimulationResult:
     norm_loss_per_input: dict[str, float]
     phase_correction: float
     phase_mismatch: float
-
-
-@functools.cache
-def _identity(dim: int) -> np.ndarray:
-    import numpy as np
-
-    eye = np.eye(dim, dtype=complex)
-    eye.flags.writeable = False
-    return eye
-
-
-def _scatter(per_class: np.ndarray, layout, shape: tuple[int, ...]) -> np.ndarray:
-    """The full-space segment matrices that a stack of per-class blocks fills
-    through ``layout`` (a :class:`qcore.SegmentLayout`), in a zero stack of
-    the padded ``shape`` ``(segments, 3**n + 1, 3**n + 1)``: every block
-    takes its class's entries, and the padding state is sliced off with
-    whatever the blocks' padding slots write into its row and column."""
-    import numpy as np
-
-    full = np.zeros(shape, dtype=complex)
-    full.reshape(-1)[layout.index] = per_class[layout.block_class]
-    return full[:, :-1, :-1]
-
-
-def _chain(steps: np.ndarray) -> np.ndarray:
-    """The ``len(steps) + 1`` running products of full-space segment steps
-    from the identity on: ``products[k] = steps[k - 1] @ ... @ steps[0]`` is
-    the propagator to the start of segment ``k``, and ``products[-1]`` the
-    whole schedule's."""
-    import numpy as np
-
-    n_segments, dim = len(steps), steps.shape[-1]
-    products = np.empty((n_segments + 1, dim, dim), dtype=complex)
-    products[0] = _identity(dim)
-    # the product to the end of the first segment is its step
-    products[1:2] = steps[:1]
-    for k in range(1, n_segments):
-        np.matmul(steps[k], products[k], out=products[k + 1])
-    return products
-
-
-def _dwell_operators(
-    eigvals: np.ndarray, eigvecs: np.ndarray, durations: np.ndarray, weights: np.ndarray
-) -> np.ndarray:
-    """Each block's dwell operator ``D = int_0^T U(t)^dag W U(t) dt``, whose
-    expectation in a state at its segment's start is that state's Rydberg
-    dwell over the segment (Van Loan, IEEE Trans. Autom. Control 23, 395
-    (1978)).
-
-    ``eigvals`` and ``eigvecs`` decompose the ``(n_classes, m, m)`` stack of
-    distinct Hermitian blocks, ``durations`` and ``weights`` are each one's
-    segment duration and the ``(n_classes, m)`` Rydberg counts ``W`` of its
-    slots.  With ``M = V^dag W V``, ``D = V (M o K) V^dag``, where ``K_jk =
-    T exp(i x_jk) sin(x_jk) / x_jk`` with ``x_jk = (lam_j - lam_k) T / 2`` is
-    the integral of ``exp(i (lam_j - lam_k) t)`` over [0, T], ``T`` for
-    degenerate eigenvalues.  ``D`` is the same for any eigenbasis inside a
-    degenerate eigenspace, and its padding row and column vanish to rounding.
-    """
-    import numpy as np
-
-    adjoint = eigvecs.conj().swapaxes(-1, -2)
-    t = durations[:, None, None]
-    half = (eigvals[..., :, None] - eigvals[..., None, :]) * (0.5 * t)
-    sin = np.sin(half)
-    scale = t * np.divide(sin, half, out=np.ones_like(half), where=half != 0)
-    kernel = np.empty(half.shape, dtype=complex)
-    kernel.real = np.cos(half) * scale
-    kernel.imag = sin * scale
-    return eigvecs @ (((adjoint * weights[:, None, :]) @ eigvecs) * kernel) @ adjoint
 
 
 def evolve(
@@ -213,7 +149,8 @@ def evolve(
     # blocks of one class are equal, so only one of each is exponentiated
     distinct = layout.representative
     blocks = stack.reshape(-1)[layout.index[distinct]]
-    durations = np.array([seg.duration for seg in segments])[layout.segment[distinct]]
+    seg_durations = tuple(seg.duration for seg in segments)
+    durations = np.array(seg_durations)[layout.segment[distinct]]
     weights = layout.weights[distinct]
     hermitian = opts.decay_tau is None
     h_eff = blocks
@@ -233,7 +170,7 @@ def evolve(
     steps = qcore.matrix_exponential(
         h_eff, durations, hermitian=hermitian, eig=eig if hermitian else None
     )
-    products = _chain(_scatter(steps, layout, stack.shape))
+    products = qcore.chain(qcore.scatter(steps, layout, stack.shape))
     propagator = products[-1]
     dwell = None
     if opts.compute_dwell:
@@ -241,8 +178,9 @@ def evolve(
         # before it: the propagator chain itself when decay is off
         if not hermitian:
             unitary = qcore.matrix_exponential(blocks, durations, hermitian=True, eig=eig)
-            products = _chain(_scatter(unitary, layout, stack.shape))
-        operators = _scatter(_dwell_operators(*eig, durations, weights), layout, stack.shape)
+            products = qcore.chain(qcore.scatter(unitary, layout, stack.shape))
+        operators = qcore.scatter(qcore.dwell_operators(*eig, durations, weights),
+                                  layout, stack.shape)
         starts = products[:-1, :, comp]
         totals = np.sum(starts.conj() * (operators @ starts), axis=(0, 1)).real
         dwell = dict(zip(labels, totals.tolist()))
@@ -252,7 +190,7 @@ def evolve(
     # contains the ramp-through contribution of the control pulses themselves,
     # which is reported, not corrected.
     residue = params.control_residue if opts.cc_interaction == "physical" else 0.0
-    phase_correction = residue_phase_over(schedule.interior_duration, residue)
+    phase_correction = residue_phase_over(seg_durations, residue)
     correction = np.exp(-1j * phase_correction)
     # np.angle wraps the product itself, so no large phase is subtracted
     phase_mismatch = float(np.angle(propagator[comp[0], comp[0]] * correction))

@@ -194,12 +194,6 @@ class GateSchedule:
     def total_duration(self) -> float:
         return sum(seg.duration for seg in self.segments)
 
-    @property
-    def interior_duration(self) -> float:
-        """Duration between the end of the first and start of the last
-        segment; 0.0 for fewer than three segments."""
-        return sum((seg.duration for seg in self.segments[1:-1]), 0.0)
-
 
 def segment_hamiltonian(
     segment: PulseSegment,

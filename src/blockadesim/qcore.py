@@ -1,6 +1,13 @@
 """Dense complex linear algebra and product-basis indexing for registers of
 three-level atoms.
 
+The simulator's dense kernels live here, beside the segment layout and the
+matrix exponential they serve: :func:`scatter` fills the full-space segment
+matrices from per-class blocks, the inverse of the gather that
+:class:`SegmentLayout` describes; :func:`chain` takes the running products of
+the segment steps; :func:`dwell_operators` is Van Loan's integral of a
+segment's exponential against its Rydberg weights.
+
 Each atom has two ground levels ``g0``, ``g1`` and one Rydberg level ``r``.
 Product states are indexed big-endian in base 3 with codes g0=0, g1=1, r=2:
 a state's index is ``int`` of its code string in base 3, so (r, r, g0) is
@@ -170,6 +177,37 @@ def segment_layout(
     )))
 
 
+@functools.cache
+def _identity(dim: int) -> np.ndarray:
+    return _read_only(np.eye(dim, dtype=complex))
+
+
+def scatter(per_class: np.ndarray, layout: SegmentLayout, shape: tuple[int, ...]) -> np.ndarray:
+    """The full-space segment matrices that a stack of per-class blocks fills
+    through ``layout``, in a zero stack of the padded ``shape`` ``(segments,
+    3**n + 1, 3**n + 1)``: every block takes its class's entries, and the
+    padding state is sliced off with whatever the blocks' padding slots
+    write into its row and column."""
+    full = np.zeros(shape, dtype=complex)
+    full.reshape(-1)[layout.index] = per_class[layout.block_class]
+    return full[:, :-1, :-1]
+
+
+def chain(steps: np.ndarray) -> np.ndarray:
+    """The ``len(steps) + 1`` running products of full-space segment steps
+    from the identity on: ``products[k] = steps[k - 1] @ ... @ steps[0]`` is
+    the propagator to the start of segment ``k``, and ``products[-1]`` the
+    whole schedule's."""
+    n_segments, dim = len(steps), steps.shape[-1]
+    products = np.empty((n_segments + 1, dim, dim), dtype=complex)
+    products[0] = _identity(dim)
+    # the product to the end of the first segment is its step
+    products[1:2] = steps[:1]
+    for k in range(1, n_segments):
+        np.matmul(steps[k], products[k], out=products[k + 1])
+    return products
+
+
 def is_hermitian(matrix: np.ndarray, tol: float = 1e-12) -> bool:
     """Whether the max-norm of M - M^dagger, relative to the matrix scale,
     is at most ``tol``."""
@@ -235,6 +273,34 @@ def matrix_exponential(
     if not np.isfinite(u).all():
         raise FloatingPointError("propagator contains non-finite entries")
     return u
+
+
+def dwell_operators(
+    eigvals: np.ndarray, eigvecs: np.ndarray, durations: np.ndarray, weights: np.ndarray
+) -> np.ndarray:
+    """Each block's dwell operator ``D = int_0^T U(t)^dag W U(t) dt``, whose
+    expectation in a state at its segment's start is that state's Rydberg
+    dwell over the segment (Van Loan, IEEE Trans. Autom. Control 23, 395
+    (1978)).
+
+    ``eigvals`` and ``eigvecs`` decompose the ``(n_classes, m, m)`` stack of
+    distinct Hermitian blocks, ``durations`` and ``weights`` are each one's
+    segment duration and the ``(n_classes, m)`` Rydberg counts ``W`` of its
+    slots.  With ``M = V^dag W V``, ``D = V (M o K) V^dag``, where ``K_jk =
+    T exp(i x_jk) sin(x_jk) / x_jk`` with ``x_jk = (lam_j - lam_k) T / 2`` is
+    the integral of ``exp(i (lam_j - lam_k) t)`` over [0, T], ``T`` for
+    degenerate eigenvalues.  ``D`` is the same for any eigenbasis inside a
+    degenerate eigenspace, and its padding row and column vanish to rounding.
+    """
+    adjoint = eigvecs.conj().swapaxes(-1, -2)
+    t = durations[:, None, None]
+    half = (eigvals[..., :, None] - eigvals[..., None, :]) * (0.5 * t)
+    sin = np.sin(half)
+    scale = t * np.divide(sin, half, out=np.ones_like(half), where=half != 0)
+    kernel = np.empty(half.shape, dtype=complex)
+    kernel.real = np.cos(half) * scale
+    kernel.imag = sin * scale
+    return eigvecs @ (((adjoint * weights[:, None, :]) @ eigvecs) * kernel) @ adjoint
 
 
 def pade_expm(a: np.ndarray) -> np.ndarray:

@@ -154,12 +154,15 @@ def check_register(gate: str, params: PhysicalParams, durations: tuple[float, ..
                          f"{MAX_SEGMENT_PHASE:.0e} rad; check the drive and the interaction")
 
 
-def residue_phase_over(interior: float, residue: float) -> float:
+def residue_phase_over(durations: tuple[float, ...], residue: float) -> float:
     """Phase (rad) that the control-control shift ``residue`` (rad/us) puts
-    on the doubly excited controls over the ``interior`` span (us) between
-    the control pulses: -interior * residue."""
+    on the doubly excited controls over the interior span of a gate whose
+    segments last ``durations`` (us): the segments between the first and
+    the last, the control pulses, summed in order from 0.0 (none for fewer
+    than three segments), times -residue.  The one place the span is
+    written down, for the simulator and the analytic results alike."""
     # 0.0 - x rather than -x, so that a zero residue gives +0.0
-    return 0.0 - interior * residue
+    return 0.0 - sum(durations[1:-1], 0.0) * residue
 
 
 def residue_phase(gate: str, drive: DriveParams, params: PhysicalParams) -> float:
@@ -168,7 +171,7 @@ def residue_phase(gate: str, drive: DriveParams, params: PhysicalParams) -> floa
     :func:`check_register`."""
     durations = segment_durations(gate, drive)
     check_register(gate, params, durations)
-    return residue_phase_over(sum(durations[1:-1]), params.control_residue)
+    return residue_phase_over(durations, params.control_residue)
 
 
 def _schedule(gate: str, drive: DriveParams, ratio_pulses=()) -> GateSchedule:
@@ -222,7 +225,7 @@ def solve_phase_matching(n_windings: int, gate: str, params: PhysicalParams) -> 
     # the drives built from the solution are.
     durations = segment_durations(gate, DriveParams.from_ratio(1.0, 1.0, 1.0))
     check_register(gate, params, ())
-    phi = residue_phase_over(sum(durations[1:-1]), params.control_residue)
+    phi = residue_phase_over(durations, params.control_residue)
     if phi == 0:
         raise ValueError(f"the {gate} gate has no residue phase to match")
     omega_bar = abs(phi) / (2.0 * math.pi * n_windings)

@@ -23,6 +23,7 @@ from blockadesim.schedule import (
     cnot_schedule,
     deutsch_schedule,
     residue_phase,
+    segment_durations,
     toffoli_schedule,
 )
 
@@ -77,7 +78,7 @@ def test_gate_time_at_092():
 def test_gate_time_fast_drive_limit():
     drive = DriveParams(TWO_PI * 10.0, 1e9, 1e9, 1e9 / SQRT2)
     for gate in ("deutsch", "toffoli", "cnot"):
-        assert gate_time(drive, gate) == pytest.approx(0.1, rel=1e-6)
+        assert sum(segment_durations(gate, drive)) == pytest.approx(0.1, rel=1e-6)
 
 
 @pytest.mark.parametrize("gate", ["deutsch", "toffoli", "cnot"])
@@ -219,6 +220,28 @@ def test_two_photon_error_names_a_non_finite_phase(v):
     assert params.blockade == v
     with pytest.raises(ValueError, match="two-photon phase is not finite"):
         deutsch_budget(ref_drive(0.54), params=params)
+
+
+@pytest.mark.parametrize("gate", ["deutsch", "toffoli", "cnot"])
+def test_two_photon_phase_is_held_to_pi_over_two(gate):
+    # C6 scaled so that the largest row's phase, the ratio pulses' for the
+    # Deutsch gate and the swap pulse's otherwise, is pi/2 (1 -+ 1e-9);
+    # past pi/2 the rows fall as the blockade weakens
+    drive = ref_drive(0.54)
+    durations = segment_durations(gate, drive)
+    if gate == "deutsch":
+        product = drive.omega1 * drive.omega2 * durations[1]
+    else:
+        product = drive.omega3**2 * durations[-2] / 2.0
+    params = PARAMS[gate]
+
+    def at_phase(factor):
+        shift = product / (math.pi * factor)
+        return params.with_interaction_scaled(shift / abs(params.blockade))
+
+    assert math.isfinite(error_budget(drive, at_phase(1.0 - 1e-9), 1590.0, gate).total)
+    with pytest.raises(ValueError, match=r"two-photon phase .* exceeds pi/2"):
+        error_budget(drive, at_phase(1.0 + 1e-9), 1590.0, gate)
 
 
 # ---------------------------------------------------------------------------

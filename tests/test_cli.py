@@ -716,11 +716,17 @@ def test_mistyped_config_gives_one_error_line(tmp_path, capsys, cfg):
         (["synth", "--omega0-mhz", "1e-300"], None),
         (["synth", "--v-scale", "1e200"], None),
         (["phase", "--v-scale", "1e200"], None),
+        # a two-photon phase past pi/2, outside the blockade regime
+        (["sweep", "--spacing-um", "15"], None),
+        (["budget", "--spacing-um", "15"], None),
+        (["budget", "--v-scale", "1e-300"], None),
+        (["sweep", "--v-scale", "1e-300"], None),
     ],
     ids=["v_scale", "c6", "omega_ratio", "budget_omega0", "sweep_omega0", "phase_inf",
          "decay_rate", "synth_match_underflow", "phase_match_underflow",
          "synth_slow_drive", "phase_slow_drive", "budget_slow_drive", "sweep_slow_drive",
-         "synth_slow_control", "synth_v_scale", "phase_v_scale"],
+         "synth_slow_control", "synth_v_scale", "phase_v_scale",
+         "sweep_wide_spacing", "budget_wide_spacing", "budget_weak_v", "sweep_weak_v"],
 )
 # a warning would print more stderr lines from a shell
 @pytest.mark.filterwarnings("error")
@@ -811,6 +817,13 @@ def test_each_subcommand_keeps_its_flags():
         ]
         flags = [((flag,), *FLAG_ACCEPTS[flag]) for flag in SUBCOMMAND_FLAGS[name]]
         assert options == head + flags, name
+
+
+def test_version_prints_the_package_version(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == f"blockadesim {blockadesim.__version__}\n"
 
 
 def _body(tmp_path, capsys, argv):

@@ -8,7 +8,7 @@ import pytest
 
 from blockadesim import qcore
 from blockadesim.budget import TAU_BY_TEMPERATURE, avg_dwell, dwell_table, error_budget
-from blockadesim.evolve import SimulationOptions, _dwell_operators, evolve
+from blockadesim.evolve import SimulationOptions, evolve
 from blockadesim.ideal import cnot_ideal, deutsch_ideal, gate_fidelity, toffoli_ideal
 from blockadesim.model import (
     GateSchedule,
@@ -23,6 +23,7 @@ from blockadesim.schedule import (
     cnot_schedule,
     deutsch_schedule,
     residue_phase,
+    segment_durations,
     toffoli_schedule,
 )
 
@@ -76,8 +77,12 @@ def test_empty_schedule_checks_cc_interaction():
 
 
 def test_register_mismatch_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"schedule register \(2\) does not match params "
+                       r"register \(3\)"):
         evolve(cnot_schedule(DRIVE), REF_PARAMS)
+    with pytest.raises(ValueError, match=r"schedule register \(3\) does not match params "
+                       r"register \(2\)"):
+        evolve(deutsch_schedule(DRIVE), REF_PARAMS_2)
 
 
 def test_pulse2_matches_lambda_closed_form():
@@ -274,7 +279,8 @@ def test_frame_correction_phase_bookkeeping():
         REF_PARAMS,
         SimulationOptions(frame_correction=True, compute_dwell=False),
     )
-    expected_phi = -deutsch_schedule(DRIVE).interior_duration * REF_PARAMS.control_residue
+    interior = sum(segment_durations("deutsch", DRIVE)[1:-1])
+    expected_phi = -interior * REF_PARAMS.control_residue
     assert corrected.phase_correction == pytest.approx(expected_phi, rel=1e-12)
     # ramp-through contribution of the control pulses stays small
     assert abs(corrected.phase_mismatch) < 0.01
@@ -634,7 +640,7 @@ def test_dwell_operators_match_quadrature(seed):
     edge = padding[:, :, None] | padding[:, None, :]
     operators = []
     for eigh in (np.linalg.eigh, mixing_degenerate_eigenvectors(np.linalg.eigh)):
-        d = _dwell_operators(*eigh(blocks), durations, weights)
+        d = qcore.dwell_operators(*eigh(blocks), durations, weights)
         assert np.all(np.abs(d - expected) <= 1e-12 * scale)
         assert np.all(np.abs(d - d.conj().swapaxes(-1, -2)) <= 1e-15 * scale)
         assert np.all((np.abs(d) <= 1e-15 * scale)[edge])

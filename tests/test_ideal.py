@@ -89,5 +89,9 @@ def test_fidelity_detects_damped_entry(mode):
 def test_fidelity_input_validation():
     with pytest.raises(ValueError):
         gate_fidelity(np.eye(4), np.eye(8))
+    # the overlap of (8, 8) with (8, 4) has a (4, 8) shape, whose diagonal
+    # would average to a number
+    with pytest.raises(ValueError, match=r"shape mismatch: \(8, 8\) vs \(8, 4\)"):
+        gate_fidelity(np.eye(8), np.eye(8)[:, :4])
     with pytest.raises(ValueError):
         gate_fidelity(np.eye(4), np.eye(4), mode="hilbert")

@@ -17,6 +17,7 @@ from blockadesim.model import (
     segment_hamiltonian,
     vdw_shift,
 )
+from blockadesim.schedule import residue_phase_over
 
 TWO_PI = 2.0 * math.pi
 
@@ -271,6 +272,9 @@ def test_gate_schedule_validation_and_durations():
         GateSchedule((), "x", 4)
     schedule = GateSchedule((seg, seg, seg), "x", 2)
     assert schedule.total_duration == pytest.approx(1.5)
-    assert schedule.interior_duration == pytest.approx(0.5)
-    assert GateSchedule((seg, seg), "x", 2).interior_duration == 0.0
+    # the interior span between the first and the last segment, at a unit
+    # residue of -1 rad/us
+    durations = tuple(s.duration for s in schedule.segments)
+    assert residue_phase_over(durations, -1.0) == pytest.approx(0.5)
+    assert residue_phase_over(durations[:2], -1.0) == 0.0
     assert GateSchedule((), "idle", 3).total_duration == 0.0

@@ -462,8 +462,15 @@ def test_matrix_exponential_rejects_bad_input():
         qcore.matrix_exponential(np.eye(3), -0.1, hermitian=True)
     with pytest.raises(FloatingPointError):
         qcore.matrix_exponential(np.array([[np.nan, 0], [0, 1]]), 1.0, hermitian=True)
-    with pytest.raises(ValueError):
-        qcore.matrix_exponential(np.zeros((2, 3)), 1.0, hermitian=True)
+    for hermitian in (True, False):
+        # eigh and the Pade solve would raise on their own terms, or not at all
+        for shape in ((2, 3), (3,)):
+            with pytest.raises(ValueError, match="expected square matrices"):
+                qcore.matrix_exponential(np.zeros(shape), 1.0, hermitian=hermitian)
+        # more durations than matrices: without the broadcast to the stack's
+        # leading shape one matrix would come back as a stack of two
+        with pytest.raises(ValueError):
+            qcore.matrix_exponential(np.eye(3), [1.0, 2.0], hermitian=hermitian)
     with pytest.raises(ValueError):
         qcore.matrix_exponential(np.zeros((2, 3, 3)), [1.0, np.inf], hermitian=True)
     with pytest.raises(ValueError):

@@ -138,7 +138,7 @@ def test_drive_params_properties_and_validation():
     assert drive.theta == pytest.approx(math.asin(7.0 / 25.0), abs=1e-12)
     with pytest.raises(ValueError):
         DriveParams(1.0, 0.0, 1.0, 1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="ratio must be > 0"):
         DriveParams.from_ratio(1.0, 1.0, -2.0)
 
 
