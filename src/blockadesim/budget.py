@@ -201,6 +201,14 @@ class SweepPoint:
     budget_4k: ErrorBudget
     budget_300k: ErrorBudget
 
+    def budget(self, temperature: str) -> ErrorBudget:
+        """The budget at a ``TAU_BY_TEMPERATURE`` key; ``ValueError`` for
+        any other temperature."""
+        if temperature not in TAU_BY_TEMPERATURE:
+            raise ValueError(f"temperature must be one of {sorted(TAU_BY_TEMPERATURE)}, "
+                             f"got {temperature!r}")
+        return dict(zip(TAU_BY_TEMPERATURE, (self.budget_4k, self.budget_300k)))[temperature]
+
 
 def sweep_grid(start_mhz: float, stop_mhz: float, step_mhz: float) -> list[float]:
     """Ascending omega_bar/2pi grid in MHz, bounded by the drive regime."""
@@ -237,12 +245,16 @@ def sweep(
 ) -> list[SweepPoint]:
     """Budget sweep of the gate over omega_bar with omega3 = omega_bar/sqrt(2).
 
-    Points are deterministic and ordered ascending in omega_bar.
+    Points are deterministic and ordered ascending in omega_bar.  A grid
+    point's ``ValueError`` is raised again with the point in front.
     """
     points = []
     for f_mhz in sweep_grid(start_mhz, stop_mhz, step_mhz):
-        drive = DriveParams.from_ratio(omega0, TWO_PI * f_mhz, ratio)
-        cold = error_budget(drive, params, TAU_BY_TEMPERATURE["4.2K"], gate)
+        try:
+            drive = DriveParams.from_ratio(omega0, TWO_PI * f_mhz, ratio)
+            cold = error_budget(drive, params, TAU_BY_TEMPERATURE["4.2K"], gate)
+        except ValueError as exc:
+            raise ValueError(f"at omega_bar/2pi = {f_mhz:.9g} MHz: {exc}") from exc
         # only the decay row reads the lifetime
         warm = replace(cold, decay=_decay(cold.mean_rydberg_time_us, TAU_BY_TEMPERATURE["300K"]))
         points.append(SweepPoint(f_mhz, drive, cold, warm))
@@ -253,10 +265,4 @@ def argmin_total(points: list[SweepPoint], temperature: str) -> SweepPoint:
     """Sweep point with the smallest total error at the given temperature."""
     if not points:
         raise ValueError("empty sweep")
-    if temperature == "4.2K":
-        return min(points, key=lambda p: p.budget_4k.total)
-    if temperature == "300K":
-        return min(points, key=lambda p: p.budget_300k.total)
-    raise ValueError(
-        f"temperature must be one of {sorted(TAU_BY_TEMPERATURE)}, got {temperature!r}"
-    )
+    return min(points, key=lambda p: p.budget(temperature).total)

@@ -60,7 +60,7 @@ from .budget import (
 )
 from .evolve import SimulationOptions, evolve
 from .ideal import cnot_ideal, deutsch_ideal, gate_fidelity, toffoli_ideal
-from .model import TWO_PI, PhysicalParams
+from .model import CC_INTERACTIONS, TWO_PI, PhysicalParams
 from .schedule import (
     GATE_ATOMS,
     RATIO_MAX,
@@ -142,7 +142,7 @@ FIELDS = (
     Field("options.decay", "none", "choice", "--decay", "effective Rydberg decay on/off",
           choices=("none", "effective"), commands=("simulate",)),
     Field("options.cc_interaction", "physical", "choice", "--cc-interaction",
-          "control-control residue shift", choices=("physical", "none"), commands=("simulate",)),
+          "control-control residue shift", choices=CC_INTERACTIONS, commands=("simulate",)),
     Field("options.frame_correction", True, "bool", "--frame-correction",
           "remove the predicted residue phase before comparison", commands=("simulate",)),
     Field("sweep.step_MHz", 0.02, "finite", "--grid-step",
@@ -283,15 +283,16 @@ def build_drive(cfg: dict) -> DriveParams:
 
 
 def build_params(cfg: dict) -> PhysicalParams:
-    """The register of the configured gate: C6 times ``options.v_scale``,
-    and the lifetime ``tau_us`` or, when that is null, the temperature's."""
+    """The register of the configured gate, with its C6 scaled by
+    ``options.v_scale`` and the lifetime ``tau_us`` or, when that is null,
+    the temperature's."""
     tau = cfg["tau_us"]
     return PhysicalParams(
-        c6_over_2pi=cfg["c6_GHz_um6"] * cfg["options.v_scale"],
+        c6_over_2pi=cfg["c6_GHz_um6"],
         spacing=cfg["L_um"],
         lifetime=float(tau) if tau is not None else TAU_BY_TEMPERATURE[cfg["temperature"]],
         n_atoms=GATE_ATOMS[cfg["gate"]],
-    )
+    ).with_interaction_scaled(cfg["options.v_scale"])
 
 
 def gate_functions(gate: str):
@@ -514,12 +515,10 @@ def cmd_sweep(cfg: dict, drive: DriveParams, params: PhysicalParams) -> tuple[st
     lines = [",".join(CSV_COLUMNS)]
     lines += [",".join(f"{v:.9g}" for v in row(p)) for p in points]
 
-    min_cold = argmin_total(points, "4.2K")
-    min_warm = argmin_total(points, "300K")
-    argmin = {
-        "4.2K": {"omega_bar_MHz": min_cold.omega_bar_mhz, "total": min_cold.budget_4k.total},
-        "300K": {"omega_bar_MHz": min_warm.omega_bar_mhz, "total": min_warm.budget_300k.total},
-    }
+    argmin = {}
+    for t in TAU_BY_TEMPERATURE:
+        best = argmin_total(points, t)
+        argmin[t] = {"omega_bar_MHz": best.omega_bar_mhz, "total": best.budget(t).total}
     return "\n".join(lines) + "\n", {"rows": len(points), "argmin": argmin}
 
 

@@ -45,7 +45,8 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .model import GateSchedule, PhysicalParams, computational_labels, segment_hamiltonian
+from .model import (GateSchedule, PhysicalParams, computational_labels, control_shift,
+                    segment_hamiltonian)
 from .schedule import residue_phase_over
 
 if TYPE_CHECKING:
@@ -58,8 +59,9 @@ class SimulationOptions:
 
     decay_tau: Rydberg lifetime in us for effective decay, or None for
         unitary evolution.
-    cc_interaction: "physical" keeps the control-control residue shift,
-        "none" zeroes it (idealized pair-engineering limit).
+    cc_interaction: one of :data:`model.CC_INTERACTIONS`; "physical" keeps
+        the control-control residue shift, "none" zeroes it (idealized
+        pair-engineering limit), see :func:`model.control_shift`.
     frame_correction: remove the predicted residue phase from the outputs of
         the both-controls-ground inputs before any comparison.
     compute_dwell: skip the (closed-form, per-segment exact) dwell integral
@@ -128,10 +130,8 @@ def evolve(
         )
     if opts.decay_tau is not None and not opts.decay_tau > 0:
         raise ValueError(f"decay_tau must be > 0, got {opts.decay_tau}")
-    # checked here too, since an empty schedule builds no Hamiltonian
-    if opts.cc_interaction not in ("physical", "none"):
-        raise ValueError("cc_interaction must be 'physical' or 'none', "
-                         f"got {opts.cc_interaction!r}")
+    # checked here, since an empty schedule builds no Hamiltonian
+    residue = control_shift(params, opts.cc_interaction)
 
     dim = 3**n
     comp = qcore.computational_indices(n)
@@ -189,7 +189,6 @@ def evolve(
     # span between the two control pulses.  The simulated phase additionally
     # contains the ramp-through contribution of the control pulses themselves,
     # which is reported, not corrected.
-    residue = params.control_residue if opts.cc_interaction == "physical" else 0.0
     phase_correction = residue_phase_over(seg_durations, residue)
     correction = np.exp(-1j * phase_correction)
     # np.angle wraps the product itself, so no large phase is subtracted

@@ -92,28 +92,37 @@ class PhysicalParams:
         return replace(self, c6_over_2pi=self.c6_over_2pi * factor)
 
 
+# The control-control switch: "physical" keeps the residue shift, "none"
+# zeroes it (the idealized pair-engineering limit)
+CC_INTERACTIONS = ("physical", "none")
+
+
+def control_shift(params: PhysicalParams, cc_interaction: str = "physical") -> float:
+    """The control-control shift that ``cc_interaction`` keeps, rad/us:
+    ``params.control_residue`` under "physical", 0.0 under "none"."""
+    if cc_interaction not in CC_INTERACTIONS:
+        raise ValueError(f"cc_interaction must be {' or '.join(map(repr, CC_INTERACTIONS))}, "
+                         f"got {cc_interaction!r}")
+    return params.control_residue if cc_interaction == "physical" else 0.0
+
+
 def interaction_diagonal(
     params: PhysicalParams, cc_interaction: str = "physical"
 ) -> np.ndarray:
     """Summed pair shift of every basis state, rad/us: ``params.blockade``
     where a control and the target are both in ``r``, plus
-    ``params.control_residue`` where both controls are (``"physical"``
-    only)."""
+    :func:`control_shift` where both controls are."""
     import numpy as np
 
     from . import qcore
 
-    if cc_interaction not in ("physical", "none"):
-        raise ValueError(
-            f"cc_interaction must be 'physical' or 'none', got {cc_interaction!r}"
-        )
+    shift = control_shift(params, cc_interaction)
     *controls, target = qcore.level_codes(params.n_atoms) == qcore.LEVEL_CODE["r"]
     diag = np.zeros(target.shape)
-    blockade = params.blockade
     for control in controls:
-        diag[control & target] += blockade
-    if cc_interaction == "physical" and len(controls) == 2:
-        diag[controls[0] & controls[1]] += params.control_residue
+        diag[control & target] += params.blockade
+    if len(controls) == 2:
+        diag[controls[0] & controls[1]] += shift
     return diag
 
 

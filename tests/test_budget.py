@@ -377,6 +377,36 @@ def test_sweep_minima_locations():
         argmin_total([], "4.2K")
 
 
+def test_sweep_point_pairs_each_temperature_with_its_budget():
+    point = sweep(REF_PARAMS, start_mhz=0.54, stop_mhz=0.54)[0]
+    assert point.budget("4.2K") is point.budget_4k
+    assert point.budget("300K") is point.budget_300k
+    message = "temperature must be one of ['300K', '4.2K'], got '77K'"
+    with pytest.raises(ValueError) as error:
+        point.budget("77K")
+    assert str(error.value) == message
+    with pytest.raises(ValueError) as error:
+        argmin_total([point], "77K")
+    assert str(error.value) == message
+
+
+def test_sweep_names_the_refused_grid_point():
+    # at L = 8.4 um the Deutsch ratio pulses' phase passes pi/2 between
+    # 2.24 and 2.26 MHz, so the default grid is refused at 2.26 MHz
+    params = PhysicalParams(c6_over_2pi=-633.0, spacing=8.4, lifetime=1590.0, n_atoms=3)
+    with pytest.raises(ValueError) as error:
+        sweep(params)
+    assert str(error.value).startswith(
+        "at omega_bar/2pi = 2.26 MHz: two-photon phase -1.58 rad exceeds pi/2"
+    )
+    # the point's own error, with the point in front
+    with pytest.raises(ValueError) as point_error:
+        error_budget(ref_drive(2.26), params, 1590.0)
+    assert error.value.__cause__ is not None
+    assert str(error.value) == f"at omega_bar/2pi = 2.26 MHz: {point_error.value}"
+    assert len(sweep(params, stop_mhz=2.24)) == 112
+
+
 def test_sweep_grid_validation():
     assert sweep_grid(0.02, 0.1, 0.02) == pytest.approx([0.02, 0.04, 0.06, 0.08, 0.1])
     with pytest.raises(ValueError):

@@ -442,6 +442,20 @@ def test_sweep_rejects_omega3(tmp_path, capsys):
     assert nulled.read_bytes() == out.read_bytes()
 
 
+def test_sweep_error_names_the_refused_grid_point(tmp_path, capsys):
+    # the first grid point whose two-photon phase at L = 8.4 um passes pi/2
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--spacing-um", "8.4", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: at omega_bar/2pi = 2.26 MHz: two-photon phase -1.58 rad "
+                               "exceeds pi/2")
+    # the grid below that point runs
+    assert main(["sweep", "--spacing-um", "8.4", "--sweep-stop", "2.24", "--out", str(out)]) == 0
+
+
 def test_sweep_grid_over_limit_gives_one_error_line(tmp_path, capsys):
     # one point over the limit, so a missing check builds no huge grid
     out = tmp_path / "sweep.csv"

@@ -6,16 +6,19 @@ import math
 import numpy as np
 import pytest
 
-from blockadesim import qcore
+from blockadesim import cli, qcore
 from blockadesim.budget import TAU_BY_TEMPERATURE, avg_dwell, dwell_table, error_budget
 from blockadesim.evolve import SimulationOptions, evolve
 from blockadesim.ideal import cnot_ideal, deutsch_ideal, gate_fidelity, toffoli_ideal
 from blockadesim.model import (
+    CC_INTERACTIONS,
     GateSchedule,
     PhysicalParams,
     PulseSegment,
     Transition,
     computational_labels,
+    control_shift,
+    interaction_diagonal,
     segment_hamiltonian,
 )
 from blockadesim.schedule import (
@@ -74,6 +77,37 @@ def test_empty_schedule_checks_cc_interaction():
     options = SimulationOptions(cc_interaction="bogus", frame_correction=True)
     with pytest.raises(ValueError, match="cc_interaction must be 'physical' or 'none'"):
         evolve(GateSchedule((), "x", 3), REF_PARAMS, options)
+
+
+# Each entry point that reads the cc_interaction switch, as a function of it
+SWITCH_READERS = {
+    "control_shift": lambda cc: control_shift(REF_PARAMS, cc),
+    "interaction_diagonal": lambda cc: interaction_diagonal(REF_PARAMS, cc),
+    "segment_hamiltonian": lambda cc: segment_hamiltonian(
+        deutsch_schedule(DRIVE).segments[0], REF_PARAMS, cc_interaction=cc),
+    "evolve": lambda cc: evolve(deutsch_schedule(DRIVE), REF_PARAMS,
+                                SimulationOptions(cc_interaction=cc, compute_dwell=False)),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(SWITCH_READERS))
+def test_cc_interaction_switch_has_one_owner(reader, capsys):
+    # model owns the switch: its one message, its values and their shifts
+    with pytest.raises(ValueError) as error:
+        SWITCH_READERS[reader]("off")
+    assert str(error.value) == "cc_interaction must be 'physical' or 'none', got 'off'"
+    for cc in CC_INTERACTIONS:
+        SWITCH_READERS[reader](cc)
+    assert control_shift(REF_PARAMS, "physical") == REF_PARAMS.control_residue
+    assert control_shift(REF_PARAMS, "none") == 0.0
+    # the CLI takes its choices from the tuple itself, not a copy, so
+    # argparse refuses "off"
+    field = next(field for field in cli.FIELDS if field.key == "options.cc_interaction")
+    assert field.choices is CC_INTERACTIONS
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["simulate", "--cc-interaction", "off"])
+    assert exit_.value.code == 2
+    assert "invalid choice: 'off'" in capsys.readouterr().err
 
 
 def test_register_mismatch_rejected():
