@@ -53,6 +53,7 @@ from operator import attrgetter
 
 from . import __version__
 from .budget import (
+    SWEEP_GRID_MHZ,
     TAU_BY_TEMPERATURE,
     argmin_total,
     error_budget,
@@ -145,11 +146,11 @@ FIELDS = (
           "control-control residue shift", choices=CC_INTERACTIONS, commands=("simulate",)),
     Field("options.frame_correction", True, "bool", "--frame-correction",
           "remove the predicted residue phase before comparison", commands=("simulate",)),
-    Field("sweep.step_MHz", 0.02, "finite", "--grid-step",
-          "omega_bar grid step in MHz (default 0.02)", commands=("sweep",)),
-    Field("sweep.start_MHz", 0.02, "finite", "--sweep-start",
+    Field("sweep.step_MHz", SWEEP_GRID_MHZ[2], "finite", "--grid-step",
+          f"omega_bar grid step in MHz (default {SWEEP_GRID_MHZ[2]})", commands=("sweep",)),
+    Field("sweep.start_MHz", SWEEP_GRID_MHZ[0], "finite", "--sweep-start",
           "first omega_bar/2pi grid value in MHz", commands=("sweep",)),
-    Field("sweep.stop_MHz", 2.3, "finite", "--sweep-stop",
+    Field("sweep.stop_MHz", SWEEP_GRID_MHZ[1], "finite", "--sweep-stop",
           "last omega_bar/2pi grid value in MHz", commands=("sweep",)),
 )
 

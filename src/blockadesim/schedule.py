@@ -144,6 +144,8 @@ def check_register(gate: str, params: PhysicalParams, durations: tuple[float, ..
     and the blockade phase ``|V| * max(durations)`` of the longest of a
     drive's segment ``durations`` (none, to check the register alone) is
     within ``MAX_SEGMENT_PHASE``."""
+    if gate not in GATE_ATOMS:
+        raise ValueError(f"gate must be one of {tuple(GATE_ATOMS)}, got {gate!r}")
     if params.n_atoms != GATE_ATOMS[gate]:
         raise ValueError(
             f"the {gate} gate needs {GATE_ATOMS[gate]} atoms, params have {params.n_atoms}"

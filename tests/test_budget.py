@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from blockadesim.budget import (
+    BLOCKADE_LIMIT,
     SWEEP_MAX_POINTS,
     TAU_BY_TEMPERATURE,
+    TWO_PHOTON_LIMIT,
     argmin_total,
     avg_dwell,
     blockade_error,
@@ -19,6 +21,8 @@ from blockadesim.budget import (
 from blockadesim.model import PhysicalParams, vdw_shift
 from blockadesim.schedule import (
     MAX_SEGMENT_PHASE,
+    RATIO_MAX,
+    RATIO_MIN,
     DriveParams,
     cnot_schedule,
     deutsch_schedule,
@@ -182,6 +186,25 @@ def test_blockade_error_limits():
         blockade_error(residue, 0.0)
 
 
+@pytest.mark.parametrize("gate", ["deutsch", "toffoli"])
+def test_blockade_row_is_held_to_its_limit(gate):
+    # omega0 set so that |V_cc|/omega0 is the limit times (1 -+ 1e-9)
+    residue = REF_PARAMS.control_residue
+
+    def at_ratio(factor):
+        return DriveParams.from_ratio(abs(residue) / (BLOCKADE_LIMIT * factor), TWO_PI * 0.54, 2.0)
+
+    inside = error_budget(at_ratio(1.0 - 1e-9), REF_PARAMS, 1590.0, gate)
+    assert inside.blockade == pytest.approx(2.0 * BLOCKADE_LIMIT**2, rel=1e-8)
+    with pytest.raises(ValueError, match=r"^\|V_cc\|/omega0 = 0\.2 exceeds the limit 0\.2: "):
+        error_budget(at_ratio(1.0 + 1e-9), REF_PARAMS, 1590.0, gate)
+    # the CNOT has no control pair, so no control drive is past the limit
+    assert error_budget(at_ratio(1.0 + 1e-9), REF_PARAMS_2, 1590.0, "cnot").blockade == 0.0
+    # the comparison does not divide, so a NaN shift fails it
+    with pytest.raises(ValueError, match="exceeds the limit 0.2"):
+        blockade_error(math.nan, TWO_PI * 10.0)
+
+
 def _two_photon_by_hand(drive, v):
     t = TWO_PI / drive.omega_bar
     t_swap = SQRT2 * math.pi / drive.omega3
@@ -205,43 +228,49 @@ def test_two_photon_error_values(omega_bar_mhz, rough):
 
 
 def test_two_photon_error_vanishes_at_large_blockade():
-    drive = ref_drive(0.54)
+    # the control drive scaled with V keeps |V_cc|/omega0 at the paper's 0.0212
+    drive = DriveParams.from_ratio(TWO_PI * 1e5, TWO_PI * 0.54, 2.0)
     strong = REF_PARAMS.with_interaction_scaled(1e4)
     assert deutsch_budget(drive, params=strong).two_photon < 1e-10
-    with pytest.raises(ValueError, match="v must be nonzero"):
+    # with no blockade every phase is past the limit; the check does not divide
+    with pytest.raises(ValueError, match="two-photon phase x/2V exceeds the limit 0.3 rad"):
         deutsch_budget(drive, params=REF_PARAMS.with_interaction_scaled(0.0))
 
 
 @pytest.mark.parametrize("v", [1e-309, -5e-324])
 def test_two_photon_error_names_a_non_finite_phase(v):
     # C6 scaled to a 1 rad/us blockade shift, then by v, gives a shift of v;
-    # omega1 omega2 t / v overflows to inf, where math.sin has no value
+    # omega1 omega2 t / v would overflow to inf, and the limit is checked
+    # before that division
     params = REF_PARAMS.with_interaction_scaled(1.0 / V).with_interaction_scaled(v)
     assert params.blockade == v
-    with pytest.raises(ValueError, match="two-photon phase is not finite"):
+    with pytest.raises(ValueError, match="two-photon phase x/2V exceeds the limit 0.3 rad"):
         deutsch_budget(ref_drive(0.54), params=params)
 
 
 @pytest.mark.parametrize("gate", ["deutsch", "toffoli", "cnot"])
-def test_two_photon_phase_is_held_to_pi_over_two(gate):
+def test_two_photon_phase_is_held_to_its_limit(gate):
     # C6 scaled so that the largest row's phase, the ratio pulses' for the
-    # Deutsch gate and the swap pulse's otherwise, is pi/2 (1 -+ 1e-9);
-    # past pi/2 the rows fall as the blockade weakens
-    drive = ref_drive(0.54)
-    durations = segment_durations(gate, drive)
-    if gate == "deutsch":
-        product = drive.omega1 * drive.omega2 * durations[1]
-    else:
-        product = drive.omega3**2 * durations[-2] / 2.0
-    params = PARAMS[gate]
+    # Deutsch gate and the swap pulse's otherwise, is the limit (1 -+ 1e-9);
+    # just inside it the rows sum to at most 0.0742 (Deutsch at a branch end)
+    assert TWO_PHOTON_LIMIT == 0.3
+    for ratio in (2.0, RATIO_MIN, RATIO_MAX) if gate == "deutsch" else (1.0,):
+        drive = ref_drive(0.54, ratio)
+        durations = segment_durations(gate, drive)
+        products = [drive.omega3**2 * durations[-2] / 2.0]
+        if gate == "deutsch":
+            products.append(drive.omega1 * drive.omega2 * durations[1])
+        product = max(products)
+        params = PARAMS[gate]
 
-    def at_phase(factor):
-        shift = product / (math.pi * factor)
-        return params.with_interaction_scaled(shift / abs(params.blockade))
+        def at_phase(factor):
+            shift = product / (2.0 * TWO_PHOTON_LIMIT * factor)
+            return params.with_interaction_scaled(shift / abs(params.blockade))
 
-    assert math.isfinite(error_budget(drive, at_phase(1.0 - 1e-9), 1590.0, gate).total)
-    with pytest.raises(ValueError, match=r"two-photon phase .* exceeds pi/2"):
-        error_budget(drive, at_phase(1.0 + 1e-9), 1590.0, gate)
+        inside = error_budget(drive, at_phase(1.0 - 1e-9), 1590.0, gate)
+        assert 0.04 < inside.two_photon < 0.075, (gate, ratio)
+        with pytest.raises(ValueError, match=r"two-photon phase x/2V exceeds the limit 0\.3 rad"):
+            error_budget(drive, at_phase(1.0 + 1e-9), 1590.0, gate)
 
 
 # ---------------------------------------------------------------------------
@@ -301,14 +330,17 @@ def test_error_budget_rejects_the_wrong_register(gate):
 
 @pytest.mark.parametrize("gate", ["deutsch", "toffoli", "cnot"])
 def test_analytic_results_hold_to_the_segment_phase_bound(gate):
-    # at so slow a control drive the control pulses pi/w0 are the longest
-    # segments, and their blockade phase pi |V| / w0 is 1e12 rad at w0 = slowest
+    # at so slow a target drive the target pulses 2pi/wbar (ratio and swap
+    # alike, with w3 = wbar/sqrt(2)) are the longest segments, and their
+    # blockade phase 2pi |V| / wbar is 1e12 rad at wbar = slowest (about
+    # 5e-10 rad/us at 6 um); a slow control drive would pass the blockade
+    # limit first
     params = PARAMS[gate]
-    slowest = math.pi * abs(params.blockade) / MAX_SEGMENT_PHASE
-    inside = DriveParams.from_ratio(1.001 * slowest, TWO_PI * 0.54, 2.0)
+    slowest = TWO_PI * abs(params.blockade) / MAX_SEGMENT_PHASE
+    inside = DriveParams.from_ratio(TWO_PI * 10.0, 1.001 * slowest, 2.0)
     assert math.isfinite(error_budget(inside, params, 1590.0, gate).total)
     assert math.isfinite(residue_phase(gate, inside, params))
-    past = DriveParams.from_ratio(0.999 * slowest, TWO_PI * 0.54, 2.0)
+    past = DriveParams.from_ratio(TWO_PI * 10.0, 0.999 * slowest, 2.0)
     with pytest.raises(ValueError, match=r"blockade phase .* exceeds 1e\+12 rad"):
         error_budget(past, params, 1590.0, gate)
     with pytest.raises(ValueError, match=r"blockade phase .* exceeds 1e\+12 rad"):
@@ -353,8 +385,10 @@ def test_sweep_follows_the_gate(gate):
         assert p.budget_4k == budget
         assert p.budget_300k == error_budget(p.drive, PARAMS[gate], 313.0, gate)
         assert p.budget_4k.gate_time_us == BUILDERS[gate](p.drive).total_duration
-    with pytest.raises(ValueError, match="needs"):
-        sweep(REF_PARAMS if gate == "cnot" else REF_PARAMS_2, gate=gate)
+    # a fault of the register is checked before the grid, so it names no point
+    wrong = REF_PARAMS if gate == "cnot" else REF_PARAMS_2
+    with pytest.raises(ValueError, match=f"^the {gate} gate needs {PARAMS[gate].n_atoms} atoms"):
+        sweep(wrong, gate=gate)
 
 
 def test_component_monotonicity_over_sweep():
@@ -391,28 +425,48 @@ def test_sweep_point_pairs_each_temperature_with_its_budget():
 
 
 def test_sweep_names_the_refused_grid_point():
-    # at L = 8.4 um the Deutsch ratio pulses' phase passes pi/2 between
-    # 2.24 and 2.26 MHz, so the default grid is refused at 2.26 MHz
+    # at L = 8.4 um the Deutsch ratio pulses' phase passes the 0.3 rad limit
+    # between 0.42 and 0.44 MHz, so the default grid is refused at 0.44 MHz
     params = PhysicalParams(c6_over_2pi=-633.0, spacing=8.4, lifetime=1590.0, n_atoms=3)
     with pytest.raises(ValueError) as error:
         sweep(params)
     assert str(error.value).startswith(
-        "at omega_bar/2pi = 2.26 MHz: two-photon phase -1.58 rad exceeds pi/2"
+        "at omega_bar/2pi = 0.44 MHz: two-photon phase x/2V exceeds the limit 0.3 rad"
     )
     # the point's own error, with the point in front
     with pytest.raises(ValueError) as point_error:
-        error_budget(ref_drive(2.26), params, 1590.0)
+        error_budget(ref_drive(0.44), params, 1590.0)
     assert error.value.__cause__ is not None
-    assert str(error.value) == f"at omega_bar/2pi = 2.26 MHz: {point_error.value}"
-    assert len(sweep(params, stop_mhz=2.24)) == 112
+    assert str(error.value) == f"at omega_bar/2pi = 0.44 MHz: {point_error.value}"
+    assert len(sweep(params, stop_mhz=0.42)) == 21
+
+
+def test_sweep_names_no_grid_point_for_a_fault_of_every_point():
+    # the register is checked before the grid (the wrong atom count is
+    # checked in test_sweep_follows_the_gate)
+    far = PhysicalParams(c6_over_2pi=-633.0, spacing=1e60, lifetime=1590.0, n_atoms=3)
+    with pytest.raises(ValueError, match=r"^distance\*\*6 is outside the float range"):
+        sweep(far)
+    with pytest.raises(ValueError, match="^gate must be one of"):
+        sweep(REF_PARAMS, gate="swap")
+    # so is the blockade limit, which no grid point moves
+    with pytest.raises(ValueError, match=r"^\|V_cc\|/omega0 = 0\.424 exceeds the limit"):
+        sweep(REF_PARAMS, omega0=TWO_PI * 0.5)
+
+
+def test_sweep_runs_past_the_paper_grid_where_the_budget_holds():
+    # no fixed cap on omega_bar: at 6 um the limits admit 3 MHz, at 5 um 6 MHz
+    assert len(sweep(REF_PARAMS, stop_mhz=3.0)) == 150
+    near = PhysicalParams(c6_over_2pi=-633.0, spacing=5.0, lifetime=1590.0, n_atoms=3)
+    assert len(sweep(near, stop_mhz=6.0)) == 300
 
 
 def test_sweep_grid_validation():
     assert sweep_grid(0.02, 0.1, 0.02) == pytest.approx([0.02, 0.04, 0.06, 0.08, 0.1])
     with pytest.raises(ValueError):
         sweep_grid(0.0, 1.0, 0.02)
-    with pytest.raises(ValueError):
-        sweep_grid(0.02, 2.5, 0.02)
+    # the grid has no cap of its own on omega_bar; the budget bounds the drive
+    assert len(sweep_grid(0.02, 2.5, 0.02)) == 125
     with pytest.raises(ValueError):
         sweep_grid(0.02, 1.0, 0.0)
     # a count past 1e15 is printed rounded, not with its 301 digits

@@ -443,17 +443,37 @@ def test_sweep_rejects_omega3(tmp_path, capsys):
 
 
 def test_sweep_error_names_the_refused_grid_point(tmp_path, capsys):
-    # the first grid point whose two-photon phase at L = 8.4 um passes pi/2
+    # the first grid point whose two-photon phase at L = 8.4 um passes the limit
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "--spacing-um", "8.4", "--out", str(out)]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and not out.exists()
     lines = captured.err.splitlines()
     assert len(lines) == 1
-    assert lines[0].startswith("error: at omega_bar/2pi = 2.26 MHz: two-photon phase -1.58 rad "
-                               "exceeds pi/2")
+    assert lines[0].startswith("error: at omega_bar/2pi = 0.44 MHz: two-photon phase x/2V "
+                               "exceeds the limit 0.3 rad")
     # the grid below that point runs
-    assert main(["sweep", "--spacing-um", "8.4", "--sweep-stop", "2.24", "--out", str(out)]) == 0
+    assert main(["sweep", "--spacing-um", "8.4", "--sweep-stop", "0.42", "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize("argv,line", [
+    (["--spacing-um", "1e60"],
+     "error: distance**6 is outside the float range at distance 1e+60 um"),
+    (["--omega0-mhz", "0.5"], "error: |V_cc|/omega0 = 0.424 exceeds the limit 0.2: the "
+                              "control-control shift is too strong for omega0"),
+], ids=["register", "control_drive"])
+def test_sweep_error_names_no_grid_point_for_a_fault_of_every_point(tmp_path, capsys, argv, line):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", *argv, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.splitlines() == [line]
+
+
+def test_sweep_runs_past_the_paper_grid_where_the_budget_holds(capsys):
+    # no fixed cap on omega_bar: the budget's limits admit 3 MHz at 6 um
+    assert main(["sweep", "--sweep-stop", "3"]) == 0
+    assert json.loads(capsys.readouterr().err)["rows"] == 150
 
 
 def test_sweep_grid_over_limit_gives_one_error_line(tmp_path, capsys):
@@ -638,11 +658,25 @@ def test_ratio_branch_endpoints_accepted(capsys, command, ratio):
 
 
 def test_tiny_blockade_shift_names_the_two_photon_term(tmp_path, capsys):
-    # V = 2pi * 633e3 / 395^6 * 1e-300 rad/us puts every two-photon phase at inf
+    # V = 2pi * 633e3 / 395^6 * 1e-300 rad/us puts every two-photon phase at
+    # inf, past the limit, which is checked without dividing by V
     argv = ["budget", "--spacing-um", "395", "--v-scale", "1e-300"]
     assert main(argv + ["--out", str(tmp_path / "out")]) == 1
     lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: two-photon phase is not finite")
+    assert len(lines) == 1
+    assert lines[0].startswith("error: two-photon phase x/2V exceeds the limit 0.3 rad")
+
+
+@pytest.mark.parametrize("argv", [["--v-scale", "1e9"], ["--omega0-mhz", "0.5"]],
+                         ids=["v_scale", "omega0"])
+def test_blockade_limit_gives_one_error_line(tmp_path, capsys, argv):
+    # |V_cc|/omega0 is 2.1e7 and 0.42 here; the budget's blockade row was 9.0e14 and 0.36
+    out = tmp_path / "out"
+    assert main(["budget", *argv, "--out", str(out)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and not out.exists()
+    assert lines[0].startswith("error: |V_cc|/omega0 = ")
+    assert "exceeds the limit 0.2" in lines[0]
 
 
 def test_invalid_values_rejected(tmp_path, capsys):
@@ -730,7 +764,7 @@ def test_mistyped_config_gives_one_error_line(tmp_path, capsys, cfg):
         (["synth", "--omega0-mhz", "1e-300"], None),
         (["synth", "--v-scale", "1e200"], None),
         (["phase", "--v-scale", "1e200"], None),
-        # a two-photon phase past pi/2, outside the blockade regime
+        # a two-photon phase past the budget's limit, outside the blockade regime
         (["sweep", "--spacing-um", "15"], None),
         (["budget", "--spacing-um", "15"], None),
         (["budget", "--v-scale", "1e-300"], None),
